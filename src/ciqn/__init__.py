@@ -2,21 +2,20 @@
 
 from .coupler import (ACCELERATORS, AitkenAccelerator, CiqnAccelerator,
                       Coupler, CouplerConfig, HistoryStore, IterationRecord,
-                      PicardAccelerator, SimulationResult, StepDivergedError,
-                      make_accelerator, solve_coupled)
-from .field import (InterfaceVector, PartitionLayout, axpy, distribute,
-                    distribute_renumbered, dot, gather, gather_renumbered,
-                    norm2, scale, split_evenly, unit_at, zeros)
+                      PicardAccelerator, RankDisagreementError,
+                      SimulationResult, StepDivergedError, make_accelerator,
+                      solve_coupled)
+from .field import (InterfaceVector, PartitionLayout, axpy, distribute, dot,
+                    gather, norm2, scale, split_evenly, zeros)
 from .harness import (CellStats, ComparisonReport, SweepSpec,
                       compare_accelerators, render_table, run_sweep,
                       write_csv)
 from .problems import (AddedMassPiston, LinearFixedPoint, NoExactSolutionError,
                        TwoInterfaceBlock, make_problem)
 from .qr import (EmptySecantSpaceError, FilterOutcome, HouseholderStack,
-                 IncrementMatrix, SingularUpperError, apply_qt,
-                 apply_reflector, back_substitute, decompose,
-                 householder_vector, reconstruct)
+                 SingularUpperError, apply_qt, apply_reflector,
+                 back_substitute, decompose, householder_vector, reconstruct)
 from .runtime import (CollectiveMismatchError, DeadlockError, RankComm,
-                      run_spmd, select_leader)
+                      run_spmd)
 
 __version__ = "0.1.0"

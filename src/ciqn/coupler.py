@@ -21,7 +21,7 @@ Increment columns are ordered newest first.  Within a step at most
 ``ranking`` of the most recent iterate pairs are kept; with history
 reuse (``histories`` = T > 0) the column blocks of the last T converged
 steps are appended after the current step's block, and the combined
-count is capped by the leader's row count so pivoting stays local.
+count is capped by the interface size, which no partitioning changes.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 
 from . import field
 from .field import InterfaceVector, PartitionLayout, split_evenly
-from .qr import (EmptySecantSpaceError, IncrementMatrix, SingularUpperError,
-                 apply_qt, back_substitute, decompose)
+from .qr import (EmptySecantSpaceError, SingularUpperError, apply_qt,
+                 back_substitute, decompose)
 from .runtime import RankComm, run_spmd
 
 RESIDUAL_FLOOR = 1e-30
@@ -45,6 +45,10 @@ ACCELERATORS = ("ciqn", "aitken", "picard")
 
 class StepDivergedError(RuntimeError):
     """Residual became non-finite; the time step cannot continue."""
+
+
+class RankDisagreementError(RuntimeError):
+    """Ranks of one run ended with different records or solutions."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,6 @@ class CouplerConfig:
     omega0     startup relaxation factor, also Aitken's first factor
     tol        relative convergence: ||r|| <= tol * ||r0|| per step
     max_iters  operator evaluations allowed per step
-    relax_on   which interface trace the loop iterates on
     """
 
     epsilon: float = 0.0
@@ -66,7 +69,6 @@ class CouplerConfig:
     omega0: float = 0.1
     tol: float = 1e-6
     max_iters: int = 50
-    relax_on: str = "displacement"
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -81,8 +83,6 @@ class CouplerConfig:
             raise ValueError("tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.relax_on not in ("displacement", "force"):
-            raise ValueError("relax_on must be 'displacement' or 'force'")
 
 
 @dataclass
@@ -210,12 +210,12 @@ class CiqnAccelerator:
 
         all_v = v_cols + self.history.v_columns()
         all_w = w_cols + self.history.w_columns()
-        cap = coupler.layout.leader_count
+        cap = coupler.layout.global_size
         all_v, all_w = all_v[:cap], all_w[:cap]
         if not all_v:
             return field.axpy(cfg.omega0, r, x_tilde)
         try:
-            stack, outcome = decompose(IncrementMatrix(all_v), cfg.epsilon)
+            stack, outcome = decompose(all_v, cfg.epsilon)
         except EmptySecantSpaceError as err:
             coupler._filtered += len(err.dropped)
             coupler._restarts += err.restarts
@@ -376,10 +376,13 @@ def solve_coupled(problem, config: CouplerConfig, n_steps: int,
 
     outputs = run_spmd(len(counts), body)
     records, solution = outputs[0]
-    for other_records, other_solution in outputs[1:]:
+    for rank, (other_records, other_solution) in enumerate(outputs[1:], 1):
         # replicated control flow must agree bitwise across ranks
-        assert other_records == records
-        assert np.array_equal(other_solution, solution)
+        if other_records != records \
+                or not np.array_equal(other_solution, solution):
+            raise RankDisagreementError(
+                "rank %d disagrees with rank 0 on the records or the "
+                "solution" % rank)
     diverged = bool(records) and not records[-1].converged
     return SimulationResult(records, solution, diverged, accelerator,
                             time.perf_counter() - started)

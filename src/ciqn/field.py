@@ -1,17 +1,10 @@
 """Row-partitioned interface vectors and the BLAS-1 kernels on them.
 
 An interface field of global size p is split into contiguous row slices,
-one per rank.  Two global orderings coexist:
-
-* the *physical* ordering, rank 0's rows first, then rank 1's, and so
-  on -- this is the ordering the coupled problems are written in;
-* the *renumbered* ordering used by the factorization kernels, where the
-  leader rank's rows come first and the remaining ranks follow in rank
-  order.  Pivoting is restricted to leader rows, so putting them first
-  makes pivot row j simply leader-local row j.
-
-Local storage is identical under both orderings (each rank keeps its
-slice contiguously); only the global concatenation order differs.
+one per rank: rank 0's rows come first, then rank 1's, and so on.  This
+is the one global ordering -- the coupled problems are written in it,
+and the factorization kernels pivot in it, so pivot row j is global row
+j on whichever rank owns it.
 """
 
 from __future__ import annotations
@@ -20,60 +13,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runtime import RankComm, select_leader
+from .runtime import RankComm
 
 
 @dataclass(frozen=True)
 class PartitionLayout:
     """Static description of one row partitioning.
 
-    counts[r] is the number of rows rank r owns.  The leader owns the
-    most rows (ties to the lowest rank id) and hosts the pivoting and
-    triangular work.
+    counts[r] is the number of rows rank r owns; its rows start at
+    global row starts[r].
     """
 
     counts: tuple[int, ...]
-    leader: int
     global_size: int
-    physical_starts: tuple[int, ...]
-    renumbered_starts: tuple[int, ...]
+    starts: tuple[int, ...]
 
     @classmethod
     def from_counts(cls, counts) -> "PartitionLayout":
+        """Raises ValueError for an empty rank list, negative counts, or
+        an interface with no rows at all."""
         counts = tuple(int(c) for c in counts)
-        leader = select_leader(counts)
-        phys = []
+        if not counts:
+            raise ValueError("no ranks")
+        if any(c < 0 for c in counts):
+            raise ValueError("negative row count")
+        if sum(counts) == 0:
+            raise ValueError("empty interface")
+        starts = []
         off = 0
         for c in counts:
-            phys.append(off)
+            starts.append(off)
             off += c
-        renum = [0] * len(counts)
-        roff = counts[leader]
-        for r in range(len(counts)):
-            if r == leader:
-                renum[r] = 0
-            else:
-                renum[r] = roff
-                roff += counts[r]
-        return cls(counts, leader, off, tuple(phys), tuple(renum))
+        return cls(counts, off, tuple(starts))
 
     @property
     def nranks(self) -> int:
         return len(self.counts)
-
-    @property
-    def leader_count(self) -> int:
-        return self.counts[self.leader]
-
-    def owner_of_renumbered(self, j: int) -> tuple[int, int]:
-        """Map a renumbered global row to (owning rank, local index)."""
-        if not 0 <= j < self.global_size:
-            raise IndexError("row %d out of range" % j)
-        for r in range(self.nranks):
-            start = self.renumbered_starts[r]
-            if start <= j < start + self.counts[r]:
-                return r, j - start
-        raise IndexError("row %d not owned" % j)  # unreachable
 
 
 def split_evenly(global_size: int, nranks: int) -> tuple[int, ...]:
@@ -137,52 +112,23 @@ def scale(alpha: float, x: InterfaceVector) -> InterfaceVector:
     return InterfaceVector(x.layout, x.comm, alpha * x.local)
 
 
-def unit_at(layout: PartitionLayout, comm: RankComm, j: int) -> InterfaceVector:
-    """Unit vector for renumbered global row j.  No communication."""
-    rank, li = layout.owner_of_renumbered(j)
-    local = np.zeros(layout.counts[comm.rank])
-    if comm.rank == rank:
-        local[li] = 1.0
-    return InterfaceVector(layout, comm, local)
-
-
 def gather(v: InterfaceVector) -> np.ndarray:
-    """Full field in physical ordering, replicated on every rank."""
+    """Full field, replicated on every rank."""
     parts = v.comm.allgather(v.local)
     full = np.empty(v.layout.global_size)
     for r, part in enumerate(parts):
-        start = v.layout.physical_starts[r]
-        full[start:start + v.layout.counts[r]] = part
-    return full
-
-
-def gather_renumbered(v: InterfaceVector) -> np.ndarray:
-    """Full field in renumbered (leader-first) ordering."""
-    parts = v.comm.allgather(v.local)
-    full = np.empty(v.layout.global_size)
-    for r, part in enumerate(parts):
-        start = v.layout.renumbered_starts[r]
+        start = v.layout.starts[r]
         full[start:start + v.layout.counts[r]] = part
     return full
 
 
 def distribute(layout: PartitionLayout, comm: RankComm,
                full) -> InterfaceVector:
-    """Take this rank's slice of a physically ordered full field."""
+    """Take this rank's slice of a full field.  No communication."""
     full = np.asarray(full, dtype=np.float64)
     if full.shape != (layout.global_size,):
         raise ValueError("full field has wrong size")
-    start = layout.physical_starts[comm.rank]
+    start = layout.starts[comm.rank]
     return InterfaceVector(layout, comm,
                            full[start:start + layout.counts[comm.rank]].copy())
 
-
-def distribute_renumbered(layout: PartitionLayout, comm: RankComm,
-                          full) -> InterfaceVector:
-    """Take this rank's slice of a renumbered-ordered full field."""
-    full = np.asarray(full, dtype=np.float64)
-    if full.shape != (layout.global_size,):
-        raise ValueError("full field has wrong size")
-    start = layout.renumbered_starts[comm.rank]
-    return InterfaceVector(layout, comm,
-                           full[start:start + layout.counts[comm.rank]].copy())

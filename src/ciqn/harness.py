@@ -74,8 +74,7 @@ def run_cell(spec: SweepSpec, histories: int, ranking: int,
                            seed=spec.seed, **dict(spec.problem_params))
     config = CouplerConfig(epsilon=epsilon, histories=histories,
                            ranking=ranking, omega0=spec.omega0,
-                           tol=spec.tol, max_iters=spec.max_iters,
-                           relax_on=spec.relax_on)
+                           tol=spec.tol, max_iters=spec.max_iters)
     result = solve_coupled(problem, config, spec.steps,
                            accelerator=spec.accelerator, nranks=spec.ranks)
     iterations = [r.iterations for r in result.records]

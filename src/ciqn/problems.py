@@ -260,6 +260,8 @@ class TwoInterfaceBlock:
 def make_problem(name: str, relax_on: str = "displacement", seed: int = 0,
                  **params):
     """Build a model problem by short name ('linear', 'piston', 'two')."""
+    if relax_on not in ("displacement", "force"):
+        raise ValueError("relax_on must be 'displacement' or 'force'")
     if name == "linear":
         return LinearFixedPoint.random_contraction(
             dim=int(params.pop("dim", 8)),

@@ -21,7 +21,7 @@ With one rank the collectives short-circuit without touching any locks.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,22 +36,6 @@ class DeadlockError(RuntimeError):
 
 class _PeerAbortError(RuntimeError):
     """Raised on ranks whose peer failed; the peer's error is reported."""
-
-
-def select_leader(counts: Sequence[int]) -> int:
-    """Pick the leader rank: most owned rows, ties to the lowest rank id.
-
-    Raises ValueError for an empty rank list, negative counts, or an
-    interface with no rows at all.
-    """
-    counts = list(counts)
-    if not counts:
-        raise ValueError("no ranks")
-    if any(c < 0 for c in counts):
-        raise ValueError("negative row count")
-    if sum(counts) == 0:
-        raise ValueError("empty interface")
-    return counts.index(max(counts))
 
 
 class _Team:

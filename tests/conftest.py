@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from ciqn.field import InterfaceVector, PartitionLayout, distribute_renumbered
-from ciqn.qr import IncrementMatrix, apply_qt, back_substitute, decompose
+from ciqn.field import InterfaceVector, PartitionLayout, distribute
+from ciqn.qr import apply_qt, back_substitute, decompose
 from ciqn.runtime import RankComm, run_spmd
 
 
@@ -20,12 +20,12 @@ def on_team(counts, body, timeout: float = 30.0):
 
 
 def vector(layout, comm, full) -> InterfaceVector:
-    """Distributed vector from a dense renumbered-ordered array."""
-    return distribute_renumbered(layout, comm, np.asarray(full, dtype=float))
+    """Distributed vector from a dense array."""
+    return distribute(layout, comm, np.asarray(full, dtype=float))
 
 
 def dense_columns(layout, comm, dense):
-    """Column InterfaceVectors from a p-by-q array in renumbered order."""
+    """Column InterfaceVectors from a p-by-q array."""
     return [vector(layout, comm, dense[:, j]) for j in range(dense.shape[1])]
 
 
@@ -33,7 +33,7 @@ def compact_lstsq(dense_v, r_full, epsilon=0.0):
     """Single-rank run of the whole pipeline; returns (lam, stack, outcome)."""
     layout, comm = single_rank(dense_v.shape[0])
     cols = dense_columns(layout, comm, dense_v)
-    stack, outcome = decompose(IncrementMatrix(cols), epsilon)
+    stack, outcome = decompose(cols, epsilon)
     head = apply_qt(stack, vector(layout, comm, r_full))
     lam = back_substitute(stack, -head, comm, layout)
     return lam, stack, outcome

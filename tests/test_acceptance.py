@@ -14,8 +14,8 @@ from mpmath import mp
 from ciqn.coupler import Coupler, CouplerConfig, solve_coupled
 from ciqn.harness import SweepSpec, render_table, run_cell, run_sweep
 from ciqn.problems import LinearFixedPoint, TwoInterfaceBlock, make_problem
-from ciqn.qr import (IncrementMatrix, SingularUpperError, apply_qt,
-                     back_substitute, decompose, reconstruct)
+from ciqn.qr import (SingularUpperError, apply_qt, back_substitute, decompose,
+                     reconstruct)
 
 from conftest import (compact_lstsq, dense_columns, on_team, random_tall,
                       single_rank, vector)
@@ -165,7 +165,7 @@ def test_criterion_6_duplicated_column_filtered_or_reported_singular():
         def duplicate_solve(comm, layout):
             base = np.array([3.0, 1.0, 2.0])
             cols = dense_columns(layout, comm, np.column_stack([base, base]))
-            stack, _ = decompose(IncrementMatrix(cols), 0.0)
+            stack, _ = decompose(cols, 0.0)
             head = apply_qt(stack, vector(layout, comm, [1.0, -1.0, 0.5]))
             try:
                 back_substitute(stack, -head, comm, layout)
@@ -242,3 +242,30 @@ def test_criterion_8_sweep_is_deterministic_and_marks_failures(tmp_path):
         assert cell.diverged
         table = render_table([cell])
         assert " F" in table and "%.2f" % 0.0 not in table
+
+
+def test_criterion_9_partition_invariance_when_columns_outnumber_rank_rows():
+    with criterion(9, "records rank-invariant when the secant space spans "
+                   "several ranks", 30.0):
+        # h=10, r=10 offers up to 110 columns, more than any one rank of
+        # these partitions owns; records must not depend on that
+        cases = [
+            (make_problem("piston", seed=0, dim=64),
+             CouplerConfig(histories=10, ranking=10, epsilon=1e-9, tol=1e-8),
+             20, ([64], [32, 32], [16] * 4, [8] * 8)),
+            (make_problem("linear", seed=0, dim=8),
+             CouplerConfig(histories=1, ranking=5, epsilon=1e-9, tol=1e-8),
+             5, ([8], [1] * 8, [3, 5])),
+        ]
+        for problem, config, steps, partitionings in cases:
+            base = solve_coupled(problem, config, steps,
+                                 counts=partitionings[0])
+            assert not base.diverged
+            scale = np.linalg.norm(base.solution)
+            for counts in partitionings[1:]:
+                other = solve_coupled(problem, config, steps, counts=counts)
+                assert other.records == base.records, (
+                    "counts %r changed the iteration records" % (counts,))
+                drift = np.linalg.norm(other.solution - base.solution) / scale
+                assert drift <= config.tol, (
+                    "counts %r drifted the solution by %.3e" % (counts, drift))

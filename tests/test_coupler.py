@@ -6,8 +6,8 @@ import pytest
 from ciqn import coupler as cp
 from ciqn import problems
 from ciqn.coupler import (AitkenAccelerator, Coupler, CouplerConfig,
-                          HistoryStore, IterationRecord, StepDivergedError,
-                          make_accelerator, solve_coupled)
+                          HistoryStore, IterationRecord, RankDisagreementError,
+                          StepDivergedError, make_accelerator, solve_coupled)
 from ciqn.field import InterfaceVector, PartitionLayout
 from ciqn.runtime import RankComm
 
@@ -28,7 +28,6 @@ def scalar_problem():
     {"omega0": 1.5},
     {"tol": 0.0},
     {"max_iters": 0},
-    {"relax_on": "pressure"},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -132,7 +131,7 @@ def test_history_reuse_shortens_later_steps():
 
 
 def test_column_count_capped_by_leader_block():
-    # 3 rows max on any rank; long steps must not overflow the pivot range
+    # 3 rows per rank; long steps offer more columns than the 6 rows
     lin = problems.LinearFixedPoint.random_contraction(6, 0.6, seed=4)
     cfg = CouplerConfig(histories=2, ranking=10, epsilon=0.0,
                         tol=1e-10, max_iters=30)
@@ -219,6 +218,21 @@ def test_solve_coupled_counts_and_nranks_agree():
     by_counts = solve_coupled(lin, cfg, n_steps=3, counts=[4, 4])
     assert by_nranks.records == by_counts.records
     np.testing.assert_array_equal(by_nranks.solution, by_counts.solution)
+
+
+def test_solve_coupled_rejects_ranks_that_disagree(monkeypatch):
+    real_run_spmd = cp.run_spmd
+
+    def skewed(nranks, body):
+        outputs = real_run_spmd(nranks, body)
+        records, solution = outputs[1]
+        outputs[1] = (records, solution + 1.0)
+        return outputs
+
+    monkeypatch.setattr(cp, "run_spmd", skewed)
+    with pytest.raises(RankDisagreementError):
+        solve_coupled(scalar_problem(), CouplerConfig(), n_steps=1,
+                      counts=[1, 0])
 
 
 def test_result_metadata():

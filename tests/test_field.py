@@ -12,23 +12,15 @@ from conftest import on_team, single_rank, vector
 
 def test_layout_orderings():
     layout = PartitionLayout.from_counts([3, 7, 2])
-    assert layout.leader == 1
     assert layout.global_size == 12
-    assert layout.physical_starts == (0, 3, 10)
-    # renumbered: leader rows first, others follow in rank order
-    assert layout.renumbered_starts == (7, 0, 10)
-    assert layout.leader_count == 7
+    assert layout.starts == (0, 3, 10)
     assert layout.nranks == 3
 
 
-def test_owner_of_renumbered_roundtrip():
-    layout = PartitionLayout.from_counts([3, 7, 2])
-    for j in range(layout.global_size):
-        rank, li = layout.owner_of_renumbered(j)
-        assert layout.renumbered_starts[rank] + li == j
-        assert 0 <= li < layout.counts[rank]
-    with pytest.raises(IndexError):
-        layout.owner_of_renumbered(12)
+def test_layout_rejects_bad_counts():
+    for counts in ([], [0, 0], [3, -1]):
+        with pytest.raises(ValueError):
+            PartitionLayout.from_counts(counts)
 
 
 def test_split_evenly():
@@ -102,7 +94,7 @@ def test_axpy_is_local():
         before = comm.total_collectives
         out = field.axpy(-2.0, x, y)
         made = comm.total_collectives - before
-        return made, field.gather_renumbered(out)
+        return made, field.gather(out)
 
     for made, full in on_team([2, 2], body):
         assert made == 0
@@ -115,32 +107,15 @@ def test_scale():
     np.testing.assert_array_equal(field.scale(0.5, v).local, [0.5, -1.0, 2.0])
 
 
-def test_unit_at_renumbered_basis():
-    def body(comm, layout):
-        before = comm.total_collectives
-        e = field.unit_at(layout, comm, 4)
-        made = comm.total_collectives - before
-        return made, field.gather_renumbered(e)
-
-    for made, full in on_team([2, 3], body):
-        assert made == 0
-        expect = np.zeros(5)
-        expect[4] = 1.0
-        np.testing.assert_array_equal(full, expect)
-
-
 def test_gather_distribute_roundtrip():
     rng = np.random.default_rng(0)
     full = rng.standard_normal(9)
 
     def body(comm, layout):
-        phys = field.distribute(layout, comm, full)
-        renum = field.distribute_renumbered(layout, comm, full)
-        return field.gather(phys), field.gather_renumbered(renum)
+        return field.gather(field.distribute(layout, comm, full))
 
-    for phys_back, renum_back in on_team([2, 4, 3], body):
-        np.testing.assert_array_equal(phys_back, full)
-        np.testing.assert_array_equal(renum_back, full)
+    for back in on_team([2, 4, 3], body):
+        np.testing.assert_array_equal(back, full)
 
 
 def test_distribute_rejects_wrong_size():

@@ -189,3 +189,9 @@ def test_make_problem_forwards_parameters():
     assert pis.relax_on == "force"
     two = make_problem("two", dim=10, cross_coupling=0.1)
     assert two.dimension == 10 and two.cross_coupling == 0.1
+
+
+def test_make_problem_rejects_unknown_relax_on():
+    for name in ("linear", "piston", "two"):
+        with pytest.raises(ValueError):
+            make_problem(name, relax_on="pressure")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ciqn import qr
-from ciqn.field import InterfaceVector, PartitionLayout, gather_renumbered
-from ciqn.qr import (EmptySecantSpaceError, HouseholderStack, IncrementMatrix,
+from ciqn.field import gather
+from ciqn.qr import (EmptySecantSpaceError, HouseholderStack,
                      SingularUpperError, apply_qt, apply_reflector,
                      back_substitute, decompose, householder_vector,
                      reconstruct)
@@ -37,7 +37,7 @@ def test_reflector_sign_rule_and_reflection():
 def test_reflector_matches_across_partitionings():
     def body(comm, layout):
         u, alpha = householder_vector(vector(layout, comm, [1.0, 1.0]), 0)
-        return gather_renumbered(u), alpha
+        return gather(u), alpha
 
     (u2, alpha2), _ = on_team([1, 1], body)
     layout, comm = single_rank(2)
@@ -46,14 +46,22 @@ def test_reflector_matches_across_partitionings():
     np.testing.assert_allclose(u2, u1.local, atol=1e-14)
 
 
-def test_reflector_pivot_must_be_leader_local():
-    def body(comm, layout):
-        v = vector(layout, comm, [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            householder_vector(v, 2)  # leader owns rows 0..1 only
-        return True
+def test_reflector_pivot_on_later_rank_matches_one_rank():
+    full = [1.0, 2.0, -3.0, 4.0]
+    layout, comm = single_rank(4)
+    for pivot in (1, 2):
+        u1, alpha1 = householder_vector(vector(layout, comm, full), pivot)
 
-    assert all(on_team([2, 1], body))
+        def body(comm, layout):
+            u, alpha = householder_vector(vector(layout, comm, full), pivot)
+            return gather(u), alpha
+
+        # row 1 sits on rank 1 behind rank 0's row; row 2 on rank 2
+        for u, alpha in on_team([1, 1, 2], body):
+            assert alpha == pytest.approx(alpha1, rel=1e-14)
+            np.testing.assert_allclose(u, u1.local, atol=1e-14)
+    with pytest.raises(ValueError):
+        householder_vector(vector(layout, comm, full), 4)
 
 
 def test_zero_column_gives_identity_reflector():
@@ -92,7 +100,7 @@ def test_apply_reflector_is_involutive():
         once = apply_reflector(u, t)
         before = comm.counters["allreduce"]
         twice = apply_reflector(u, once)
-        return comm.counters["allreduce"] - before, gather_renumbered(twice)
+        return comm.counters["allreduce"] - before, gather(twice)
 
     for reductions, back in on_team([4, 2], body):
         assert reductions == 1  # exactly one reduction per application
@@ -104,8 +112,7 @@ def test_apply_reflector_is_involutive():
 def test_decompose_single_clean_column():
     layout, comm = single_rank(2)
     stack, outcome = decompose(
-        IncrementMatrix(dense_columns(layout, comm,
-                                      np.array([[2.0], [0.0]]))), 0.0)
+        dense_columns(layout, comm, np.array([[2.0], [0.0]])), 0.0)
     np.testing.assert_array_equal(stack.upper, [[2.0]])
     assert outcome.kept == [0]
     assert outcome.dropped == [] and outcome.restarts == 0
@@ -118,7 +125,7 @@ def test_decompose_drops_exact_duplicate():
 
     def body(comm, layout):
         col = vector(layout, comm, full)
-        stack, outcome = decompose(IncrementMatrix([col, col.copy()]), 1e-9)
+        stack, outcome = decompose([col, col.copy()], 1e-9)
         return outcome.kept, outcome.dropped, outcome.restarts, stack.q
 
     for kept, dropped, restarts, q in on_team([4, 2], body):
@@ -131,7 +138,7 @@ def test_decompose_drops_exact_duplicate():
 def test_duplicate_without_filter_reaches_singular_solve():
     def body(comm, layout):
         col = vector(layout, comm, [1.0, 2.0, 0.5])
-        stack, outcome = decompose(IncrementMatrix([col, col.copy()]), 0.0)
+        stack, outcome = decompose([col, col.copy()], 0.0)
         assert outcome.dropped == []
         with pytest.raises(SingularUpperError):
             back_substitute(stack, np.array([1.0, 1.0]), comm, layout)
@@ -157,23 +164,22 @@ def test_decompose_invariant_under_partitioning():
     dense = random_tall(9, 3, 10.0, rng)
 
     def body(comm, layout):
-        stack, _ = decompose(
-            IncrementMatrix(dense_columns(layout, comm, dense)), 0.0)
+        stack, _ = decompose(dense_columns(layout, comm, dense), 0.0)
         return stack.upper
 
-    upper_p3 = on_team([4, 3, 2], body)[0]
     layout, comm = single_rank(9)
-    stack1, _ = decompose(
-        IncrementMatrix(dense_columns(layout, comm, dense)), 0.0)
-    np.testing.assert_allclose(upper_p3, stack1.upper, atol=1e-14)
+    stack1, _ = decompose(dense_columns(layout, comm, dense), 0.0)
+    # the last two put pivot rows on several ranks, one behind an empty rank
+    for counts in ([4, 3, 2], [1, 2, 6], [0, 3, 6]):
+        upper = on_team(counts, body)[0]
+        np.testing.assert_allclose(upper, stack1.upper, atol=1e-14)
 
 
 def test_decompose_storage_is_compact():
     rng = np.random.default_rng(2)
     dense = random_tall(40, 6, 10.0, rng)
     layout, comm = single_rank(40)
-    stack, _ = decompose(IncrementMatrix(dense_columns(layout, comm, dense)),
-                         0.0)
+    stack, _ = decompose(dense_columns(layout, comm, dense), 0.0)
     assert stack.upper.shape == (6, 6)
     assert len(stack.reflectors) == 6
     for u in stack.reflectors:
@@ -181,11 +187,11 @@ def test_decompose_storage_is_compact():
 
 
 def test_decompose_rejects_too_many_columns():
-    # pivoting is leader-local, so columns are capped by the leader block
+    # one pivot row per column: more columns than rows cannot be factored
     def body(comm, layout):
-        cols = dense_columns(layout, comm, np.eye(4, 3))
+        cols = dense_columns(layout, comm, np.eye(4, 5))
         with pytest.raises(ValueError):
-            decompose(IncrementMatrix(cols), 0.0)
+            decompose(cols, 0.0)
         return True
 
     assert all(on_team([2, 2], body))
@@ -193,7 +199,7 @@ def test_decompose_rejects_too_many_columns():
 
 def test_decompose_empty_input():
     with pytest.raises(EmptySecantSpaceError):
-        decompose(IncrementMatrix([]), 0.0)
+        decompose([], 0.0)
 
 
 def test_filter_can_empty_the_space():
@@ -202,7 +208,7 @@ def test_filter_can_empty_the_space():
     layout, comm = single_rank(3)
     cols = dense_columns(layout, comm, np.ones((3, 2)))
     with pytest.raises(EmptySecantSpaceError) as info:
-        decompose(IncrementMatrix(cols), 2.0)
+        decompose(cols, 2.0)
     assert sorted(info.value.dropped) == [0, 1]
 
 
@@ -210,7 +216,7 @@ def test_filter_keeps_well_conditioned_columns():
     rng = np.random.default_rng(9)
     dense = random_tall(12, 4, 10.0, rng)
     layout, comm = single_rank(12)
-    _, outcome = decompose(IncrementMatrix(dense_columns(layout, comm, dense)),
+    _, outcome = decompose(dense_columns(layout, comm, dense),
                            1e-9)
     assert outcome.dropped == [] and outcome.restarts == 0
 
@@ -220,8 +226,7 @@ def test_filter_keeps_well_conditioned_columns():
 def test_apply_qt_identity_stack_truncates():
     layout, comm = single_rank(2)
     stack, _ = decompose(
-        IncrementMatrix(dense_columns(layout, comm,
-                                      np.array([[2.0], [0.0]]))), 0.0)
+        dense_columns(layout, comm, np.array([[2.0], [0.0]])), 0.0)
     head = apply_qt(stack, vector(layout, comm, [3.0, 7.0]))
     np.testing.assert_array_equal(head, [3.0])
     head = apply_qt(stack, vector(layout, comm, [4.0, 0.0]))
@@ -277,11 +282,44 @@ def test_reconstruct_recovers_columns():
     dense = random_tall(15, 4, 1e4, rng)
 
     def body(comm, layout):
-        stack, _ = decompose(
-            IncrementMatrix(dense_columns(layout, comm, dense)), 0.0)
+        stack, _ = decompose(dense_columns(layout, comm, dense), 0.0)
         rebuilt = reconstruct(stack)
-        return np.column_stack([gather_renumbered(c) for c in rebuilt])
+        return np.column_stack([gather(c) for c in rebuilt])
 
-    for back in on_team([8, 7], body):
-        err = np.linalg.norm(back - dense) / np.linalg.norm(dense)
-        assert err <= 1e-12
+    for counts in ([8, 7], [1, 2, 12], [0, 3, 12]):
+        for back in on_team(counts, body):
+            err = np.linalg.norm(back - dense) / np.linalg.norm(dense)
+            assert err <= 1e-12
+
+
+# -- collective shape ---------------------------------------------------
+
+def test_collectives_per_kernel_on_spanning_pivots():
+    # pivot rows 0..3 sit on all three ranks; nothing is broadcast
+    rng = np.random.default_rng(31)
+    k = 4
+    dense = random_tall(9, k, 10.0, rng)
+    r_full = rng.standard_normal(9)
+
+    def delta(comm, before):
+        return {kind: comm.counters[kind] - before[kind]
+                for kind in comm.counters}
+
+    def body(comm, layout):
+        before = dict(comm.counters)
+        stack, _ = decompose(dense_columns(layout, comm, dense), 0.0)
+        made = [delta(comm, before)]
+        before = dict(comm.counters)
+        head = apply_qt(stack, vector(layout, comm, r_full))
+        made.append(delta(comm, before))
+        before = dict(comm.counters)
+        back_substitute(stack, -head, comm, layout)
+        made.append(delta(comm, before))
+        return made, sum(not flag for flag in stack.identity_flags)
+
+    for (dec, qt, back), live in on_team([1, 2, 6], body):
+        assert live == k
+        assert dec == {"allreduce": 2 * k - 1, "broadcast": 0,
+                       "allgather": 0}
+        assert qt == {"allreduce": live + 1, "broadcast": 0, "allgather": 0}
+        assert back == {"allreduce": 0, "broadcast": 0, "allgather": 0}

@@ -6,24 +6,7 @@ import numpy as np
 import pytest
 
 from ciqn.runtime import (CollectiveMismatchError, DeadlockError, RankComm,
-                          run_spmd, select_leader)
-
-
-def test_select_leader_unique_maximum():
-    assert select_leader([3, 7, 2]) == 1
-
-
-def test_select_leader_tie_goes_to_lowest_rank():
-    assert select_leader([5, 5]) == 0
-
-
-def test_select_leader_rejects_bad_input():
-    with pytest.raises(ValueError):
-        select_leader([])
-    with pytest.raises(ValueError):
-        select_leader([0, 0])
-    with pytest.raises(ValueError):
-        select_leader([3, -1])
+                          run_spmd)
 
 
 def test_allreduce_sums_across_ranks():
