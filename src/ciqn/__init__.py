@@ -8,10 +8,9 @@ from .coupler import (ACCELERATORS, AitkenAccelerator, CiqnAccelerator,
 from .field import (InterfaceVector, PartitionLayout, axpy, distribute, dot,
                     gather, norm2, scale, split_evenly, zeros)
 from .harness import (CellStats, ComparisonReport, SweepSpec,
-                      compare_accelerators, render_table, run_sweep,
-                      write_csv)
-from .problems import (AddedMassPiston, LinearFixedPoint, NoExactSolutionError,
-                       TwoInterfaceBlock, make_problem)
+                      compare_accelerators, render_table, run_sweep)
+from .problems import (AddedMassPiston, LinearFixedPoint, TwoInterfaceBlock,
+                       make_problem)
 from .qr import (EmptySecantSpaceError, FilterOutcome, HouseholderStack,
                  SingularUpperError, apply_qt, apply_reflector,
                  back_substitute, decompose, householder_vector, reconstruct)

@@ -22,8 +22,7 @@ import sys
 from .coupler import ACCELERATORS
 from .harness import (SweepSpec, compare_accelerators, render_table,
                       run_sweep)
-
-PROBLEMS = ("linear", "piston", "two")
+from .problems import PROBLEMS, RELAX_ON
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -43,7 +42,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated per-step column caps")
     parser.add_argument("--epsilon", type=_float_list,
                         help="comma-separated filter thresholds")
-    parser.add_argument("--relax-on", choices=("displacement", "force"),
+    parser.add_argument("--relax-on", choices=RELAX_ON,
                         dest="relax_on")
     parser.add_argument("--steps", type=int, help="time steps per cell")
     parser.add_argument("--ranks", type=int, help="simulated rank count")
@@ -109,15 +108,19 @@ def _make_spec(args: argparse.Namespace, default_accel) -> tuple[SweepSpec, obje
     if getattr(args, "accel", None) is not None:
         accel = args.accel
     options["seed"] = int(os.environ.get("CIQN_SEED", "0"))
-    spec = SweepSpec(**options)
-    return spec, accel
+    if args.command == "sweep":
+        options["accelerator"] = accel
+    try:
+        return SweepSpec(**options), accel
+    except ValueError as err:
+        # an invalid value stops the run before any cell starts
+        raise SystemExit("ciqn: %s" % err)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "sweep":
-        spec, accel = _make_spec(args, "ciqn")
-        spec = SweepSpec(**{**spec.__dict__, "accelerator": accel})
+        spec, _ = _make_spec(args, "ciqn")
         cells = run_sweep(spec)
         sys.stdout.write(render_table(cells))
         if spec.out:

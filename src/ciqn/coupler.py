@@ -22,6 +22,9 @@ Increment columns are ordered newest first.  Within a step at most
 reuse (``histories`` = T > 0) the column blocks of the last T converged
 steps are appended after the current step's block, and the combined
 count is capped by the interface size, which no partitioning changes.
+The history block is fixed within a step, so it is factored once per
+step and each proposal adds only the current columns to it
+(:class:`ciqn.qr.StepFactor`).
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ import numpy as np
 
 from . import field
 from .field import InterfaceVector, PartitionLayout, split_evenly
-from .qr import (EmptySecantSpaceError, SingularUpperError, apply_qt,
-                 back_substitute, decompose)
+# apply_qt has no caller here; the benchmark's tracer wraps it by name
+from .qr import (EmptySecantSpaceError, SingularUpperError, StepFactor,
+                 apply_qt, back_substitute, decompose)  # noqa: F401
 from .runtime import RankComm, run_spmd
 
 RESIDUAL_FLOOR = 1e-30
@@ -71,17 +75,18 @@ class CouplerConfig:
     max_iters: int = 50
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        # negated comparisons, so that NaN (which compares false) fails
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
-        if self.histories < 0:
+        if not self.histories >= 0:
             raise ValueError("histories must be >= 0")
-        if self.ranking < 1:
+        if not self.ranking >= 1:
             raise ValueError("ranking must be >= 1")
         if not 0 < self.omega0 <= 1:
             raise ValueError("omega0 must be in (0, 1]")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
 
 
@@ -189,6 +194,7 @@ class CiqnAccelerator:
         self._step_v: list[InterfaceVector] = []
         self._step_w: list[InterfaceVector] = []
         self._staged: tuple | None = None
+        self._factor: StepFactor | None = None
 
     def start_step(self, coupler: "Coupler") -> None:
         # roll the block staged by the previous converged step
@@ -198,6 +204,7 @@ class CiqnAccelerator:
         self._log.clear()
         self._step_v = []
         self._step_w = []
+        self._factor = None
 
     def propose(self, coupler, x, x_tilde, r) -> InterfaceVector:
         cfg = self.config
@@ -208,21 +215,26 @@ class CiqnAccelerator:
         self._step_v = v_cols
         self._step_w = w_cols
 
-        all_v = v_cols + self.history.v_columns()
-        all_w = w_cols + self.history.w_columns()
         cap = coupler.layout.global_size
-        all_v, all_w = all_v[:cap], all_w[:cap]
-        if not all_v:
+        if self._factor is None:
+            # the history block is fixed for the step: factor it once
+            history = self.history.v_columns()[:cap]
+            self._factor = StepFactor(
+                decompose(history, 0.0)[0] if history else None)
+        current = v_cols[:cap]
+        k_h = min(self._factor.columns, cap - len(current))
+        if not current and not k_h:
             return field.axpy(cfg.omega0, r, x_tilde)
+        all_w = w_cols[:len(current)] + self.history.w_columns()[:k_h]
         try:
-            stack, outcome = decompose(all_v, cfg.epsilon)
+            stack, outcome, head = self._factor.factor(current, r, k_h,
+                                                       cfg.epsilon)
         except EmptySecantSpaceError as err:
             coupler._filtered += len(err.dropped)
             coupler._restarts += err.restarts
             return field.axpy(cfg.omega0, r, x_tilde)
         coupler._filtered += len(outcome.dropped)
         coupler._restarts += outcome.restarts
-        head = apply_qt(stack, r)
         try:
             lam = back_substitute(stack, -head, coupler.comm, coupler.layout)
         except SingularUpperError:

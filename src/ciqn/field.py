@@ -114,12 +114,7 @@ def scale(alpha: float, x: InterfaceVector) -> InterfaceVector:
 
 def gather(v: InterfaceVector) -> np.ndarray:
     """Full field, replicated on every rank."""
-    parts = v.comm.allgather(v.local)
-    full = np.empty(v.layout.global_size)
-    for r, part in enumerate(parts):
-        start = v.layout.starts[r]
-        full[start:start + v.layout.counts[r]] = part
-    return full
+    return np.concatenate(v.comm.allgather(v.local))
 
 
 def distribute(layout: PartitionLayout, comm: RankComm,

@@ -14,12 +14,13 @@ flushed as each cell finishes, so partial output survives interruption.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
 
-from .coupler import CouplerConfig, solve_coupled
-from .problems import make_problem
+from .coupler import ACCELERATORS, CouplerConfig, solve_coupled
+from .problems import PROBLEMS, RELAX_ON, make_problem
 
 CSV_HEADER = "histories,ranking,epsilon,mean,sd,diverged,restarts"
 
@@ -42,6 +43,26 @@ class SweepSpec:
     seed: int = 0
     problem_params: tuple = ()
     out: str | None = None
+
+    def __post_init__(self):
+        """Reject, before any cell runs, what some cell would reject."""
+        if not min(self.steps, self.ranks) >= 1:
+            raise ValueError("steps and ranks must be >= 1")
+        for name, allowed in (("accelerator", ACCELERATORS),
+                              ("problem", PROBLEMS), ("relax_on", RELAX_ON)):
+            if getattr(self, name) not in allowed:
+                raise ValueError("%s must be one of %s"
+                                 % (name, ", ".join(allowed)))
+        for cell in itertools.product(self.histories, self.ranking,
+                                      self.epsilon):
+            self.config(*cell)
+
+    def config(self, histories: int, ranking: int,
+               epsilon: float) -> CouplerConfig:
+        """The coupling configuration of one grid cell."""
+        return CouplerConfig(epsilon=epsilon, histories=histories,
+                             ranking=ranking, omega0=self.omega0,
+                             tol=self.tol, max_iters=self.max_iters)
 
 
 @dataclass
@@ -72,10 +93,8 @@ def run_cell(spec: SweepSpec, histories: int, ranking: int,
     """Run one simulation for one grid cell of the sweep."""
     problem = make_problem(spec.problem, relax_on=spec.relax_on,
                            seed=spec.seed, **dict(spec.problem_params))
-    config = CouplerConfig(epsilon=epsilon, histories=histories,
-                           ranking=ranking, omega0=spec.omega0,
-                           tol=spec.tol, max_iters=spec.max_iters)
-    result = solve_coupled(problem, config, spec.steps,
+    result = solve_coupled(problem, spec.config(histories, ranking, epsilon),
+                           spec.steps,
                            accelerator=spec.accelerator, nranks=spec.ranks)
     iterations = [r.iterations for r in result.records]
     if result.diverged:
@@ -116,13 +135,6 @@ def run_sweep(spec: SweepSpec) -> list[CellStats]:
         if out:
             out.close()
     return cells
-
-
-def write_csv(cells: list[CellStats], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for cell in cells:
-            fh.write(csv_row(cell) + "\n")
 
 
 def render_table(cells: list[CellStats]) -> str:

@@ -17,25 +17,21 @@ read-only across rank threads.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import field
 from .field import InterfaceVector
 
 
-class NoExactSolutionError(RuntimeError):
-    """This problem has no closed-form solution to compare against."""
+PROBLEMS = ("linear", "piston", "two")
+RELAX_ON = ("displacement", "force")
 
 
 def _finite_or_raise(full: np.ndarray) -> None:
     if not np.all(np.isfinite(full)):
         raise ValueError("non-finite interface state")
-
-
-def _forcing_ramp(time_index: int, amplitude: float, frequency: float) -> float:
-    # exactly 1 at step 0, and never the same twice in a row: a step
-    # that starts at its own solution cannot meet a relative tolerance
-    return 1.0 + amplitude * np.sin(2.0 * np.pi * frequency * time_index * 0.1)
 
 
 class LinearFixedPoint:
@@ -62,7 +58,10 @@ class LinearFixedPoint:
         self.offset = offset
         self.drift_amplitude = drift_amplitude
         self.drift_frequency = drift_frequency
-        self.spectral_radius = float(np.max(np.abs(np.linalg.eigvals(matrix))))
+
+    @functools.cached_property
+    def spectral_radius(self) -> float:
+        return float(np.max(np.abs(np.linalg.eigvals(self.matrix))))
 
     @classmethod
     def random_contraction(cls, dim: int, spectral_radius: float = 0.5,
@@ -79,8 +78,10 @@ class LinearFixedPoint:
         return self.matrix.shape[0]
 
     def _ramp(self, time_index: int) -> float:
-        return _forcing_ramp(time_index, self.drift_amplitude,
-                             self.drift_frequency)
+        # exactly 1 at step 0, and never the same twice in a row: a step
+        # that starts at its own solution cannot meet a relative tolerance
+        return 1.0 + self.drift_amplitude * np.sin(
+            2.0 * np.pi * self.drift_frequency * time_index * 0.1)
 
     def evaluate(self, x: InterfaceVector, time_index: int) -> InterfaceVector:
         full = field.gather(x)
@@ -125,6 +126,8 @@ class AddedMassPiston:
             raise ValueError("mass_ratio must be > 0")
         if not 0 <= neighbor_coupling <= 0.5:
             raise ValueError("neighbor_coupling must be in [0, 0.5]")
+        if relax_on not in RELAX_ON:
+            raise ValueError("relax_on must be 'displacement' or 'force'")
         self.dim = dim
         self.mass_ratio = mass_ratio
         self.stiffness = stiffness
@@ -170,7 +173,7 @@ class AddedMassPiston:
         return self.target(time_index)
 
 
-class TwoInterfaceBlock:
+class TwoInterfaceBlock(LinearFixedPoint):
     """Two coupling surfaces sharing one interface vector.
 
     Rows [0, size_a) belong to surface A, the rest to surface B.  Each
@@ -193,11 +196,10 @@ class TwoInterfaceBlock:
         self.size_b = block_b.shape[0]
         top = np.hstack([block_a, cross_coupling * coupling_ab])
         bottom = np.hstack([cross_coupling * coupling_ba, block_b])
-        self.matrix = np.vstack([top, bottom])
-        self.offset = np.concatenate([offset_a, offset_b])
+        super().__init__(np.vstack([top, bottom]),
+                         np.concatenate([offset_a, offset_b]),
+                         drift_amplitude, drift_frequency)
         self.cross_coupling = cross_coupling
-        self.drift_amplitude = drift_amplitude
-        self.drift_frequency = drift_frequency
 
     @classmethod
     def make(cls, size_a: int, size_b: int, contraction: float = 0.6,
@@ -227,27 +229,8 @@ class TwoInterfaceBlock:
                    cross_coupling)
 
     @property
-    def dimension(self) -> int:
-        return self.size_a + self.size_b
-
-    @property
     def interface_rows(self) -> tuple[slice, slice]:
         return slice(0, self.size_a), slice(self.size_a, self.dimension)
-
-    def _ramp(self, time_index: int) -> float:
-        return _forcing_ramp(time_index, self.drift_amplitude,
-                             self.drift_frequency)
-
-    def evaluate(self, x: InterfaceVector, time_index: int) -> InterfaceVector:
-        full = field.gather(x)
-        _finite_or_raise(full)
-        out = self.matrix @ full + self._ramp(time_index) * self.offset
-        return field.distribute(x.layout, x.comm, out)
-
-    def exact_solution(self, time_index: int) -> np.ndarray:
-        eye = np.eye(self.dimension)
-        return self._ramp(time_index) * np.linalg.solve(eye - self.matrix,
-                                                        self.offset)
 
     def surface_residuals(self, x_full: np.ndarray,
                           time_index: int = 0) -> tuple[float, float]:
@@ -259,8 +242,8 @@ class TwoInterfaceBlock:
 
 def make_problem(name: str, relax_on: str = "displacement", seed: int = 0,
                  **params):
-    """Build a model problem by short name ('linear', 'piston', 'two')."""
-    if relax_on not in ("displacement", "force"):
+    """Build a model problem by short name (one of PROBLEMS)."""
+    if relax_on not in RELAX_ON:
         raise ValueError("relax_on must be 'displacement' or 'force'")
     if name == "linear":
         return LinearFixedPoint.random_contraction(

@@ -4,22 +4,28 @@ The quasi-Newton update needs the least-squares solution of a tall,
 skinny system V*lam ~ -r where V has at most a few dozen columns but as
 many rows as the interface.  We factor V = Q*[U; 0] with Householder
 reflectors and never form Q or any p-by-p matrix: the factorization is
-just the q unit reflector vectors (stored as distributed fields) plus
-the small q-by-q upper triangle U, replicated on every rank.
+the reflector vectors (stored as distributed fields) plus small
+replicated matrices, the triangle U and, after a filter drop, a local
+rotation.
 
 Pivot row j is global row j, on whichever rank owns it.  The few
 replicated scalars each column needs -- its norm below the pivot, the
 pivot itself and the triangle entries above it -- come from one
-zero-padded reduction, so no rank is privileged and the reflector
-applications stay fully distributed, one reduction each.
+zero-padded reduction, so no rank is privileged.
 
-A relative filter guards against (near-)linearly dependent columns:
-after diagonal entry U[j, j] is computed, the j-th surviving column is
-removed outright when |U[j, j]| < epsilon * ||U||_F (norm over the
-entries filled so far), and the factorization restarts on the reduced
-column set.  With epsilon = 0 the test never fires and an exactly
+The relative filter against (near-)dependent columns runs on the
+replicated triangle, with no communication: scanning in column order,
+column j is removed when |U[j, j]| < epsilon * ||U[:, :j+1]||_F (over
+the columns kept so far), the columns after it are re-triangularized
+locally, and the scan goes on at j.  With epsilon = 0 an exactly
 dependent column surfaces later as a "singular U" error from the
 triangular solve.
+
+``StepFactor`` factors a step's history block H once, in compact WY
+form (Schreiber and Van Loan 1989); each proposal factors only the
+rows of Q_H^T C below H's triangle for the current columns C, then
+filters the small block [[A, R_H], [R_B, 0]] locally: block column
+insertion at the front (Hammarling and Lucas, MIMS EPrint 2008.111).
 """
 
 from __future__ import annotations
@@ -55,22 +61,25 @@ class FilterOutcome:
 
     kept: list[int]
     dropped: list[int]
-    restarts: int
+    restarts: int  # one per drop
 
 
 @dataclass
 class HouseholderStack:
-    """The factorization: q reflectors plus the replicated triangle.
+    """The factorization: reflectors plus small replicated matrices.
 
-    reflectors[j] zeroes column j below global row j.  Each has unit
-    norm or is identically zero; zero means the column was already
-    reduced there and the reflector is the identity.  ``upper`` is
-    q-by-q, identical on all ranks.
+    reflectors[j] zeroes its column below global row j; each has unit
+    norm or is zero (the identity).  ``upper`` is q-by-q, identical on
+    all ranks; ``rotation`` (after a filter drop) is the first q rows of
+    the local orthogonal factor applied after the reflectors.  ``block``
+    has decompose's reflectors as its rows.
     """
 
     reflectors: list[InterfaceVector]
     upper: np.ndarray
     identity_flags: list[bool] = dataclass_field(default_factory=list)
+    rotation: np.ndarray | None = None
+    block: np.ndarray | None = dataclass_field(default=None, repr=False)
 
     @property
     def q(self) -> int:
@@ -166,15 +175,69 @@ def apply_reflector(u: InterfaceVector, t: InterfaceVector) -> InterfaceVector:
     return InterfaceVector(t.layout, t.comm, out)
 
 
+def _householder(layout: PartitionLayout, comm: RankComm, work: np.ndarray,
+                 ncols: int, offset: int):
+    """Factor the first ``ncols`` rows (local column slices) of ``work``
+    in place, pivoting at global rows ``offset + j``; later rows are
+    carried along.  Returns the replicated entries on and above the
+    pivots and the identity flags.  One reduction per column, plus one
+    per reflector that has later rows to update."""
+    tri = np.zeros((offset + ncols, ncols))
+    flags: list[bool] = []
+    rows = list(work)  # views: updates land in ``work``
+    for j, col in enumerate(rows[:ncols]):
+        u, alpha, identity, above = _reflector_from_column(
+            layout, comm, col, offset + j)
+        tri[:offset + j, j] = above
+        tri[offset + j, j] = alpha
+        col[:] = u
+        later = rows[j + 1:]
+        if not identity and later:
+            coefs = comm.allreduce_sum_array(np.array([u @ w for w in later]))
+            for coef, w in zip(coefs, later):
+                w -= 2.0 * coef * u
+        flags.append(identity)
+    return tri, flags
+
+
+def _triangularize(m: np.ndarray, epsilon: float, triangular: bool):
+    """Triangularize the replicated block ``m`` (rows >= columns) under
+    the filter: scan, drop, re-triangularize the rest, go on.  Local.
+    Returns (upper, rotation or None, outcome)."""
+    rows, ncols = m.shape
+    kept, dropped = list(range(ncols)), []
+    tri = m
+    if not triangular:
+        # the identity carried along becomes the rotation
+        tri = np.linalg.qr(np.hstack([m, np.eye(rows)]), mode="r")
+    while epsilon:
+        block = tri[:, :len(kept)]
+        filled = np.sqrt(np.cumsum(np.sum(block * block, axis=0)))
+        small = np.flatnonzero(np.abs(np.diagonal(block)) < epsilon * filled)
+        if not small.size:
+            break
+        j = small[0]
+        if tri is m:
+            tri = np.hstack([m, np.eye(rows)])
+        dropped.append(kept.pop(j))
+        tri = np.delete(tri, j, axis=1)
+        tri[j:, j:] = np.linalg.qr(tri[j:, j:], mode="r")
+    if not kept:
+        raise EmptySecantSpaceError(dropped, len(dropped))
+    q = len(kept)
+    return (tri[:q, :q], None if tri is m else tri[:q, q:],
+            FilterOutcome(kept, dropped, len(dropped)))
+
+
 def decompose(columns: list[InterfaceVector], epsilon: float):
     """Factor the columns into (HouseholderStack, FilterOutcome).
 
-    Columns that fail the relative diagonal test are dropped and the
-    whole reduction restarts on the survivors (the triangle computed so
-    far is not reusable once a column leaves).  Raises
+    Every column gets its distributed reflector (2k - 1 reductions for
+    k columns, whatever the filter later drops); the relative filter
+    then runs on the replicated triangle with no communication.  Raises
     EmptySecantSpaceError when nothing survives.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     if not columns:
         raise EmptySecantSpaceError([], 0)
@@ -185,57 +248,88 @@ def decompose(columns: list[InterfaceVector], epsilon: float):
     if len(columns) > layout.global_size:
         raise ValueError("%d columns exceed the %d interface rows"
                          % (len(columns), layout.global_size))
-
-    kept = list(range(len(columns)))
-    dropped: list[int] = []
-    restarts = 0
-    while True:
-        if not kept:
-            raise EmptySecantSpaceError(dropped, restarts)
-        k = len(kept)
-        work = [columns[i].local.copy() for i in kept]
-        reflectors: list[np.ndarray] = []
-        flags: list[bool] = []
-        upper = np.zeros((k, k))
-        filtered = False
-        for j in range(k):
-            u, alpha, identity, above = _reflector_from_column(
-                layout, comm, work[j], j)
-            upper[:j, j] = above
-            upper[j, j] = alpha
-            if epsilon > 0.0:
-                filled = np.sqrt(np.sum(upper[:, :j + 1] ** 2))
-                if abs(upper[j, j]) < epsilon * filled:
-                    dropped.append(kept.pop(j))
-                    restarts += 1
-                    filtered = True
-                    break
-            if not identity and j + 1 < k:
-                partial = np.array([u @ work[i] for i in range(j + 1, k)])
-                coefs = comm.allreduce_sum_array(partial)
-                for off, i in enumerate(range(j + 1, k)):
-                    work[i] -= 2.0 * coefs[off] * u
-            reflectors.append(u)
-            flags.append(identity)
-        if filtered:
-            continue
-        stack = HouseholderStack(
-            [InterfaceVector(layout, comm, u) for u in reflectors],
-            upper, flags)
-        return stack, FilterOutcome(kept, dropped, restarts)
+    work = np.array([c.local for c in columns])
+    tri, flags = _householder(layout, comm, work, len(columns), 0)
+    upper, rotation, outcome = _triangularize(tri, epsilon, True)
+    stack = HouseholderStack([InterfaceVector(layout, comm, u) for u in work],
+                             upper, flags, rotation, work)
+    return stack, outcome
 
 
 def apply_qt(stack: HouseholderStack, r: InterfaceVector) -> np.ndarray:
     """First q rows of Q^T r, replicated on every rank.
 
     The reflectors are applied in construction order (the first one
-    first); the first q global rows of the result are then combined
-    from their owners with one more reduction.
+    first); the rows they pivot on are then combined from their owners
+    with one more reduction, and turned by ``rotation`` if there is one.
     """
     t = r.local.copy()
     _reflect(r.comm, stack.reflectors, stack.identity_flags, t)
-    return r.comm.allreduce_sum_array(
-        _head_share(r.layout, r.comm.rank, t, stack.q))
+    head = r.comm.allreduce_sum_array(
+        _head_share(r.layout, r.comm.rank, t, len(stack.reflectors)))
+    return head if stack.rotation is None else stack.rotation @ head
+
+
+class StepFactor:
+    """One step's history factor: decompose's stack for the history
+    columns with epsilon = 0, or None.  Its leading k_H reflectors and
+    triangle block factor its leading k_H columns: truncation is free."""
+
+    def __init__(self, history: HouseholderStack | None):
+        self.history = history
+        self.columns = 0 if history is None else history.q
+        self._wy_t: np.ndarray | None = None
+
+    def _project(self, comm: RankComm, k_h: int, work: np.ndarray) -> None:
+        """Apply Q_H^T of the first k_h reflectors to the rows of ``work``
+        with one reduction.  T is built on first use, from a Gram matrix
+        that rides on that reduction, so single-proposal steps skip it."""
+        y = self.history.block
+        cross = y[:k_h] @ work.T
+        if self._wy_t is None:
+            k = len(y)
+            reduced = comm.allreduce_sum_array(
+                np.concatenate(((y @ y.T).ravel(), cross.ravel())))
+            cross = reduced[k * k:].reshape(cross.shape)
+            # T^-1 = I/2 + strict upper part of Y^T Y (Joffrain et al.,
+            # ACM TOMS 32, 2006); zero reflectors take part harmlessly
+            self._wy_t = scipy.linalg.solve_triangular(
+                np.triu(reduced[:k * k].reshape(k, k), 1) + 0.5 * np.eye(k),
+                np.eye(k))
+        else:
+            cross = comm.allreduce_sum_array(cross)
+        work -= (self._wy_t[:k_h, :k_h].T @ cross).T @ y[:k_h]
+
+    def factor(self, columns: list[InterfaceVector], r: InterfaceVector,
+               k_h: int, epsilon: float):
+        """Factor [columns, first k_h history columns] and return (stack,
+        outcome, first q rows of Q^T r).  2c + 2 reductions for c >= 1
+        columns (2c + 1 if k_h = 0), whatever k_h and the filter do; with
+        none, apply_qt's count on the history stack."""
+        layout, comm, c, history = r.layout, r.comm, len(columns), self.history
+        reflectors = history.reflectors[:k_h] if k_h else []
+        flags = history.identity_flags[:k_h] if k_h else []
+        m = np.zeros((k_h + c, c + k_h))
+        if k_h:
+            m[:k_h, c:] = history.upper[:k_h, :k_h]
+        if not c:
+            # the step's first proposal: no T yet, and none needed; later
+            # reflectors leave the rows before k_h alone
+            pre = apply_qt(history, r)[:k_h]
+        else:
+            work = np.array([col.local for col in columns] + [r.local])
+            if k_h:
+                self._project(comm, k_h, work)
+            m[:, :c], new_flags = _householder(layout, comm, work, c, k_h)
+            pre = comm.allreduce_sum_array(
+                _head_share(layout, comm.rank, work[c], k_h + c))
+            reflectors = reflectors + [InterfaceVector(layout, comm, u)
+                                       for u in work[:c]]
+            flags = flags + new_flags
+        upper, rotation, outcome = _triangularize(m, epsilon, not (c and k_h))
+        head = pre[:len(upper)] if rotation is None else rotation @ pre
+        return (HouseholderStack(reflectors, upper, flags, rotation),
+                outcome, head)
 
 
 def back_substitute(stack: HouseholderStack, rhs: np.ndarray,
@@ -258,8 +352,7 @@ def back_substitute(stack: HouseholderStack, rhs: np.ndarray,
     return scipy.linalg.solve_triangular(upper, rhs, lower=False)
 
 
-def reconstruct(stack: HouseholderStack, outcome_cols: int | None = None
-                ) -> list[InterfaceVector]:
+def reconstruct(stack: HouseholderStack) -> list[InterfaceVector]:
     """Rebuild the kept columns from [U; 0] by reversing the reflectors.
 
     Mainly a verification aid: the result should match the kept input
@@ -269,11 +362,13 @@ def reconstruct(stack: HouseholderStack, outcome_cols: int | None = None
     if not refl:
         return []
     layout, comm = refl[0].layout, refl[0].comm
-    ncols = stack.q if outcome_cols is None else outcome_cols
     out = []
-    for i in range(ncols):
+    for i in range(stack.q):
+        column = stack.upper[:, i]
+        if stack.rotation is not None:
+            column = stack.rotation.T @ column
         full = np.zeros(layout.global_size)
-        full[:stack.q] = stack.upper[:, i]
+        full[:len(column)] = column
         t = distribute(layout, comm, full)
         _reflect(comm, reversed(refl), reversed(stack.identity_flags),
                  t.local)

@@ -106,6 +106,17 @@ def test_sweep_writes_csv_and_table(tmp_path, capsys, monkeypatch):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("flags", [["--epsilon", "0,nan"], ["--steps", "0"],
+                                   ["--tol", "nan"]])
+def test_sweep_rejects_bad_values_before_any_cell(tmp_path, monkeypatch,
+                                                  flags):
+    monkeypatch.delenv("CIQN_SEED", raising=False)
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit, match="must be"):
+        cli.main(["sweep", "--problem", "linear", *flags, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_compare_prints_summary(capsys, monkeypatch):
     monkeypatch.delenv("CIQN_SEED", raising=False)
     code, text = run_main(capsys, [

@@ -28,6 +28,8 @@ def scalar_problem():
     {"omega0": 1.5},
     {"tol": 0.0},
     {"max_iters": 0},
+    {"epsilon": float("nan")},
+    {"tol": float("nan")},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -128,6 +130,24 @@ def test_history_reuse_shortens_later_steps():
     fast = solve_coupled(pis, with_history, n_steps=10)
     assert all(r.converged for r in slow.records + fast.records)
     assert mean(fast) < mean(slow)
+
+
+def test_history_factored_once_per_step(monkeypatch):
+    real = cp.decompose
+    calls = []
+
+    def counted(columns, epsilon):
+        calls.append(epsilon)
+        return real(columns, epsilon)
+
+    monkeypatch.setattr(cp, "decompose", counted)
+    cfg = CouplerConfig(histories=2, ranking=5, epsilon=1e-9)
+    res = solve_coupled(problems.AddedMassPiston(32), cfg, n_steps=6)
+    assert all(r.converged for r in res.records)
+    # several proposals a step, but the first step has no history and
+    # every later one factors its history block once, unfiltered
+    assert all(r.iterations >= 3 for r in res.records)
+    assert calls == [0.0] * 5
 
 
 def test_column_count_capped_by_leader_block():

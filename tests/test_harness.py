@@ -5,7 +5,7 @@ import pytest
 
 from ciqn import harness
 from ciqn.harness import (CellStats, SweepSpec, compare_accelerators, csv_row,
-                          render_table, run_cell, run_sweep, write_csv)
+                          render_table, run_cell, run_sweep)
 
 TINY_LINEAR = SweepSpec(problem="linear", steps=5, histories=(0, 1),
                         ranking=(5,), epsilon=(0.0, 1e-9),
@@ -33,6 +33,25 @@ def test_single_cell_linear():
     assert cell.steps_run == 50
 
 
+@pytest.mark.parametrize("bad", [
+    {"steps": 0},
+    {"ranks": 0},
+    {"epsilon": (0.0, float("nan"))},
+    {"tol": float("nan")},
+    {"histories": (0, -1)},
+    {"relax_on": "pressure"},
+    {"problem": "beam"},
+    {"accelerator": "broyden"},
+])
+def test_sweep_spec_rejects_bad_values_before_any_cell(bad, monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "solve_coupled", no_cells)
+    with pytest.raises(ValueError):
+        run_sweep(SweepSpec(**bad))
+
+
 def test_csv_row_formats():
     cell = CellStats(2, 5, 1e-9, 3.5, 0.25, False, 1, 1, 50, 0.1)
     assert csv_row(cell) == "2,5,1e-09,3.500000,0.250000,False,1"
@@ -44,9 +63,8 @@ def test_run_sweep_streams_identical_csv(tmp_path):
     streamed = tmp_path / "streamed.csv"
     spec = SweepSpec(**{**TINY_LINEAR.__dict__, "out": str(streamed)})
     cells = run_sweep(spec)
-    rewritten = tmp_path / "rewritten.csv"
-    write_csv(cells, str(rewritten))
-    assert streamed.read_bytes() == rewritten.read_bytes()
+    rows = [harness.CSV_HEADER] + [csv_row(cell) for cell in cells]
+    assert streamed.read_text() == "".join(row + "\n" for row in rows)
     lines = streamed.read_text().splitlines()
     assert lines[0] == harness.CSV_HEADER
     assert len(lines) == 1 + len(cells) == 5

@@ -81,6 +81,12 @@ def test_piston_validation():
         AddedMassPiston(8, neighbor_coupling=0.9)
 
 
+def test_piston_rejects_unknown_relax_on():
+    # checked at construction, not only on the make_problem path
+    with pytest.raises(ValueError, match="relax_on"):
+        AddedMassPiston(8, relax_on="pressure")
+
+
 def test_piston_target_is_its_own_fixed_point():
     pis = AddedMassPiston(16)
     for t in (0, 2, 7):

@@ -1,14 +1,16 @@
 """Compact Householder factorization and the least-squares pipeline."""
 
+import time
+
 import numpy as np
 import pytest
 
 from ciqn import qr
 from ciqn.field import gather
 from ciqn.qr import (EmptySecantSpaceError, HouseholderStack,
-                     SingularUpperError, apply_qt, apply_reflector,
-                     back_substitute, decompose, householder_vector,
-                     reconstruct)
+                     SingularUpperError, StepFactor, apply_qt,
+                     apply_reflector, back_substitute, decompose,
+                     householder_vector, reconstruct)
 from ciqn.runtime import RankComm
 
 from conftest import (compact_lstsq, dense_columns, on_team, random_tall,
@@ -323,3 +325,174 @@ def test_collectives_per_kernel_on_spanning_pivots():
                        "allgather": 0}
         assert qt == {"allreduce": live + 1, "broadcast": 0, "allgather": 0}
         assert back == {"allreduce": 0, "broadcast": 0, "allgather": 0}
+
+
+# -- the per-step factor ------------------------------------------------
+
+DENSE_SEEDS = range(12)
+EPSILONS = (0.0, 1e-9, 1e-3, 0.1)
+
+
+def dense_filter(dense, epsilon):
+    """Reference filter on a dense matrix: scan the columns in order and
+    drop column j when the triangle of the columns kept so far plus j
+    ends in |U_jj| < epsilon * ||U||_F."""
+    kept = []
+    for j in range(dense.shape[1]):
+        upper = np.linalg.qr(dense[:, kept + [j]], mode="r")
+        if not abs(upper[-1, -1]) < epsilon * np.linalg.norm(upper):
+            kept.append(j)
+    return kept
+
+
+def secant_columns(rng, p):
+    """(dense, c): c current columns, then a history block that may be
+    longer than the p - c columns the interface size leaves for it.
+    Some columns copy an earlier one exactly; some are an earlier pair's
+    combination plus a perturbation of relative size 1e-6 or 1e-12."""
+    c = int(rng.integers(1, 4))
+    total = c + int(rng.integers(0, p + 2))
+    cols = []
+    for j in range(total):
+        kind = rng.random()
+        if j >= 2 and kind < 0.15:
+            cols.append(cols[rng.integers(j)].copy())
+        elif j >= 2 and kind < 0.3:
+            a, b = rng.choice(j, 2, replace=False)
+            mix = cols[a] - 0.7 * cols[b]
+            size = rng.choice([1e-6, 1e-12]) * np.linalg.norm(mix)
+            cols.append(mix + size * rng.standard_normal(p) / np.sqrt(p))
+        else:
+            cols.append(rng.standard_normal(p) * 10.0 ** rng.uniform(-2, 2))
+    return np.column_stack(cols), c
+
+
+def test_step_factor_matches_dense_reference():
+    # kept set, |diag U|, reconstruction and lam of the two-level factor
+    # (history factored once, current columns inserted in front) against
+    # numpy on the dense columns, on partitions that put pivot rows on
+    # several ranks and behind an empty one
+    started = time.perf_counter()
+    checked = 0
+    for seed in DENSE_SEEDS:
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(6, 25))
+        dense, c = secant_columns(rng, p)
+        r_full = rng.standard_normal(p)
+        n_h = min(dense.shape[1] - c, p)
+        # (current columns, history columns): a later proposal, whose
+        # history share the interface size may cut, and a step's first
+        proposals = [(c, min(n_h, p - c))] + ([(0, n_h)] if n_h else [])
+        cases = [(np.hstack([dense[:, :now], dense[:, c:c + k]]), epsilon)
+                 for now, k in proposals for epsilon in EPSILONS]
+
+        def body(comm, layout):
+            cols = dense_columns(layout, comm, dense)
+            history = cols[c:c + n_h]
+            step = StepFactor(decompose(history, 0.0)[0] if history
+                              else None)
+            r = vector(layout, comm, r_full)
+            out = []
+            for now, k in proposals:
+                for epsilon in EPSILONS:
+                    stack, outcome, head = step.factor(cols[:now], r, k,
+                                                       epsilon)
+                    _, direct = decompose(cols[:now] + history[:k], epsilon)
+                    rebuilt = np.column_stack([gather(v)
+                                               for v in reconstruct(stack)])
+                    try:
+                        lam = back_substitute(stack, -head, comm, layout)
+                    except SingularUpperError:
+                        lam = None
+                    out.append((outcome.kept, direct.kept,
+                                np.abs(np.diag(stack.upper)), rebuilt, lam))
+            return out
+
+        for counts in ([p], [1, 2, p - 3], [0, 3, p - 3]):
+            ranks = on_team(counts, body)
+            for other in ranks[1:]:
+                for mine, theirs in zip(ranks[0], other):
+                    assert mine[:2] == theirs[:2]
+                    np.testing.assert_array_equal(mine[2], theirs[2])
+            for (offered, epsilon), (kept, direct, diag, rebuilt, lam) \
+                    in zip(cases, ranks[0]):
+                where = "seed %d counts %r epsilon %g" % (seed, counts,
+                                                          epsilon)
+                assert kept == dense_filter(offered, epsilon), where
+                assert direct == kept, where
+                chosen = offered[:, kept]
+                scale = np.linalg.norm(chosen)
+                assert np.linalg.norm(rebuilt - chosen) <= 1e-12 * scale, \
+                    where
+                # |U_jj| is the distance of column j from the span of the
+                # columns before it; a near-dependent kept set makes that
+                # span, and so the distance, sensitive to rounding
+                kappa = np.linalg.cond(chosen)
+                reference = np.abs(np.diag(np.linalg.qr(chosen, mode="r")))
+                assert np.max(np.abs(diag - reference)) \
+                    <= max(1e-12, 1e-15 * kappa) * scale, where
+                if kappa < 1e12:
+                    assert lam is not None, where
+                if lam is not None:
+                    ref, *_ = np.linalg.lstsq(chosen, -r_full, rcond=None)
+                    err = np.linalg.norm(lam - ref) / np.linalg.norm(ref)
+                    assert err <= max(1e-10, 1e-15 * kappa ** 2), where
+                checked += 1
+    elapsed = time.perf_counter() - started
+    assert checked >= len(DENSE_SEEDS) * 3 * len(EPSILONS)
+    assert elapsed < 20.0, "took %.1f s, budget 20 s" % elapsed
+
+
+def test_step_factor_collectives_on_spanning_pivots():
+    # team [1, 2, 6]: the history factor's reductions and the step's
+    # first projection are paid once per step; every later proposal pays
+    # 2c + 2 (2c + 1 with no history), whatever the history holds; a
+    # filter drop costs nothing
+    rng = np.random.default_rng(37)
+    dense = random_tall(9, 7, 10.0, rng)
+    r_full = rng.standard_normal(9)
+    near = dense[:, 0] + 1e-13 * rng.standard_normal(9)
+
+    def body(comm, layout):
+        def spent(call):
+            before = comm.counters["allreduce"]
+            out = call()
+            assert comm.counters["broadcast"] == comm.counters["allgather"] \
+                == 0
+            return comm.counters["allreduce"] - before, out
+
+        cols = dense_columns(layout, comm, dense)
+        twin = vector(layout, comm, near)
+        r = vector(layout, comm, r_full)
+        made = {}
+        for k_h in (1, 3, 5):
+            made["history", k_h], (stack, _) = spent(
+                lambda: decompose(cols[2:2 + k_h], 0.0))
+            step = StepFactor(stack)
+            made["first", k_h], _ = spent(
+                lambda: step.factor([], r, k_h, 1e-9))
+            for c in (1, 2):
+                made[c, k_h], _ = spent(
+                    lambda: step.factor(cols[:c], r, k_h, 1e-9))
+            made["drop", k_h], (_, outcome, _) = spent(
+                lambda: step.factor([cols[0], twin], r, k_h, 1e-9))
+            assert outcome.dropped == [1]
+        step = StepFactor(None)
+        for c in (1, 2):
+            made[c, 0], _ = spent(lambda: step.factor(cols[:c], r, 0, 1e-9))
+        made["decompose drop"], (_, outcome) = spent(
+            lambda: decompose(cols[:4] + [twin], 1e-9))
+        assert outcome.dropped == [4]
+        return made
+
+    for made in on_team([1, 2, 6], body):
+        for k_h in (1, 3, 5):
+            assert made["history", k_h] == 2 * k_h - 1
+            # no current column yet: apply_qt on the history stack
+            assert made["first", k_h] == k_h + 1
+            for c in (1, 2):
+                assert made[c, k_h] == 2 * c + 2
+            assert made["drop", k_h] == 2 * 2 + 2
+        for c in (1, 2):
+            assert made[c, 0] == 2 * c + 1
+        assert made["decompose drop"] == 2 * 5 - 1
