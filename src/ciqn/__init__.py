@@ -6,14 +6,14 @@ from .coupler import (ACCELERATORS, AitkenAccelerator, CiqnAccelerator,
                       SimulationResult, StepDivergedError, make_accelerator,
                       solve_coupled)
 from .field import (InterfaceVector, PartitionLayout, axpy, distribute, dot,
-                    gather, norm2, scale, split_evenly, zeros)
+                    gather, norm2, split_evenly, zeros)
 from .harness import (CellStats, ComparisonReport, SweepSpec,
                       compare_accelerators, render_table, run_sweep)
 from .problems import (AddedMassPiston, LinearFixedPoint, TwoInterfaceBlock,
                        make_problem)
 from .qr import (EmptySecantSpaceError, FilterOutcome, HouseholderStack,
-                 SingularUpperError, apply_qt, apply_reflector,
-                 back_substitute, decompose, householder_vector, reconstruct)
+                 SingularUpperError, apply_qt, back_substitute, decompose,
+                 reconstruct)
 from .runtime import (CollectiveMismatchError, DeadlockError, RankComm,
                       run_spmd)
 

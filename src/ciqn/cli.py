@@ -130,7 +130,10 @@ def main(argv=None) -> int:
         spec, accel = _make_spec(args, ("ciqn", "aitken"))
         if isinstance(accel, str):
             accel = tuple(accel.split(","))
-        report = compare_accelerators(spec, accel)
+        try:
+            report = compare_accelerators(spec, accel)
+        except ValueError as err:
+            raise SystemExit("ciqn: %s" % err)
         sys.stdout.write(report.render())
         return 0
     return 2

@@ -25,6 +25,14 @@ count is capped by the interface size, which no partitioning changes.
 The history block is fixed within a step, so it is factored once per
 step and each proposal adds only the current columns to it
 (:class:`ciqn.qr.StepFactor`).
+
+Every accelerator has the same three methods, and none of them sees the
+:class:`Coupler`: ``start_step()`` at the start of a time step,
+``propose(x, x_tilde, r)`` for each iterate that has not converged (the
+layout and communicator travel with ``r``), and
+``finish_step(converged)`` at the end of the step, which returns how
+many secant columns the filter dropped during it.  Picard and Aitken
+drop none; ciqn pushes a converged step's columns into its history.
 """
 
 from __future__ import annotations
@@ -94,6 +102,8 @@ class CouplerConfig:
 class IterationRecord:
     """Outcome of one time step.
 
+    filtered_columns and restarts both count the secant columns the
+    filter dropped during the step (one restart per drop).
     residual_norms is diagnostic only and excluded from equality: the
     counts and flags must match across partitionings bit for bit, while
     norms may differ in the last ulp (reductions group differently).
@@ -112,13 +122,10 @@ class HistoryStore:
     """Column blocks of past converged steps, newest block first."""
 
     def __init__(self, capacity: int):
-        self.capacity = capacity
         self._blocks: deque = deque(maxlen=capacity)
 
     def push(self, v_cols: list[InterfaceVector],
              w_cols: list[InterfaceVector]) -> None:
-        if self.capacity == 0:
-            return
         self._blocks.appendleft((list(v_cols), list(w_cols)))
 
     def v_columns(self) -> list[InterfaceVector]:
@@ -127,22 +134,19 @@ class HistoryStore:
     def w_columns(self) -> list[InterfaceVector]:
         return [c for block in self._blocks for c in block[1]]
 
-    def __len__(self) -> int:
-        return len(self._blocks)
-
 
 class PicardAccelerator:
-    name = "picard"
+    """Plain fixed-point iteration: the next iterate is H(x) itself."""
 
-    def start_step(self, coupler: "Coupler") -> None:
+    def start_step(self) -> None:
         pass
 
-    def propose(self, coupler: "Coupler", x: InterfaceVector,
-                x_tilde: InterfaceVector, r: InterfaceVector) -> InterfaceVector:
+    def propose(self, x: InterfaceVector, x_tilde: InterfaceVector,
+                r: InterfaceVector) -> InterfaceVector:
         return x_tilde.copy()
 
-    def finish_step(self, coupler: "Coupler", converged: bool) -> None:
-        pass
+    def finish_step(self, converged: bool) -> int:
+        return 0
 
 
 class AitkenAccelerator:
@@ -161,11 +165,11 @@ class AitkenAccelerator:
         self._omega: float | None = None
         self._prev_r: InterfaceVector | None = None
 
-    def start_step(self, coupler: "Coupler") -> None:
+    def start_step(self) -> None:
         self._omega = None
         self._prev_r = None
 
-    def propose(self, coupler, x, x_tilde, r) -> InterfaceVector:
+    def propose(self, x, x_tilde, r) -> InterfaceVector:
         if self._prev_r is None:
             omega = self.omega0
         else:
@@ -180,8 +184,8 @@ class AitkenAccelerator:
         self._prev_r = r.copy()
         return field.axpy(omega, r, x)
 
-    def finish_step(self, coupler: "Coupler", converged: bool) -> None:
-        pass
+    def finish_step(self, converged: bool) -> int:
+        return 0
 
 
 class CiqnAccelerator:
@@ -191,31 +195,25 @@ class CiqnAccelerator:
         self.config = config
         self.history = HistoryStore(config.histories)
         self._log: deque = deque(maxlen=config.ranking)
-        self._step_v: list[InterfaceVector] = []
-        self._step_w: list[InterfaceVector] = []
-        self._staged: tuple | None = None
+        self._block: tuple = ([], [])
         self._factor: StepFactor | None = None
+        self._dropped = 0
 
-    def start_step(self, coupler: "Coupler") -> None:
-        # roll the block staged by the previous converged step
-        if self._staged is not None:
-            self.history.push(*self._staged)
-            self._staged = None
+    def start_step(self) -> None:
         self._log.clear()
-        self._step_v = []
-        self._step_w = []
+        self._block = ([], [])
         self._factor = None
+        self._dropped = 0
 
-    def propose(self, coupler, x, x_tilde, r) -> InterfaceVector:
+    def propose(self, x, x_tilde, r) -> InterfaceVector:
         cfg = self.config
         v_cols = [field.axpy(-1.0, r, past_r) for past_r, _ in self._log]
         w_cols = [field.axpy(-1.0, x_tilde, past_xt)
                   for _, past_xt in self._log]
         self._log.appendleft((r.copy(), x_tilde.copy()))
-        self._step_v = v_cols
-        self._step_w = w_cols
+        self._block = (v_cols, w_cols)
 
-        cap = coupler.layout.global_size
+        cap = r.layout.global_size
         if self._factor is None:
             # the history block is fixed for the step: factor it once
             history = self.history.v_columns()[:cap]
@@ -230,13 +228,11 @@ class CiqnAccelerator:
             stack, outcome, head = self._factor.factor(current, r, k_h,
                                                        cfg.epsilon)
         except EmptySecantSpaceError as err:
-            coupler._filtered += len(err.dropped)
-            coupler._restarts += err.restarts
+            self._dropped += len(err.dropped)
             return field.axpy(cfg.omega0, r, x_tilde)
-        coupler._filtered += len(outcome.dropped)
-        coupler._restarts += outcome.restarts
+        self._dropped += len(outcome.dropped)
         try:
-            lam = back_substitute(stack, -head, coupler.comm, coupler.layout)
+            lam = back_substitute(stack, -head, r.comm, r.layout)
         except SingularUpperError:
             # degenerate secant info at working precision: with the
             # filter off nothing removes the dead column, so take a
@@ -245,12 +241,12 @@ class CiqnAccelerator:
         local = x_tilde.local.copy()
         for coef, w in zip(lam, (all_w[i] for i in outcome.kept)):
             local += coef * w.local
-        return InterfaceVector(coupler.layout, coupler.comm, local)
+        return InterfaceVector(r.layout, r.comm, local)
 
-    def finish_step(self, coupler: "Coupler", converged: bool) -> None:
-        if converged and self._step_v:
-            self._staged = (self._step_v, self._step_w)
-        self._log.clear()
+    def finish_step(self, converged: bool) -> int:
+        if converged and self._block[0]:
+            self.history.push(*self._block)
+        return self._dropped
 
 
 def make_accelerator(name: str, config: CouplerConfig):
@@ -278,21 +274,17 @@ class Coupler:
         self.converged = False
         self.r_norm = float("nan")
         self.r0_norm: float | None = None
-        self._filtered = 0
-        self._restarts = 0
         self._residual_norms: list[float] = []
 
     def begin_time_step(self, x_initial: InterfaceVector | None = None) -> None:
         """Reset per-step state; the converged previous state carries over."""
         if x_initial is not None:
             self.x = x_initial.copy()
-        self.accelerator.start_step(self)
+        self.accelerator.start_step()
         self.iterations = 0
         self.converged = False
         self.r_norm = float("nan")
         self.r0_norm = None
-        self._filtered = 0
-        self._restarts = 0
         self._residual_norms = []
 
     def check_convergence(self) -> bool:
@@ -324,7 +316,7 @@ class Coupler:
             self.converged = True
             self.x = x_tilde.copy()
             return self.x
-        self.x = self.accelerator.propose(self, self.x, x_tilde, r)
+        self.x = self.accelerator.propose(self.x, x_tilde, r)
         return self.x
 
     def run_time_step(self, problem) -> IterationRecord:
@@ -338,10 +330,10 @@ class Coupler:
                 break
             if self.converged:
                 break
+        dropped = self.accelerator.finish_step(self.converged)
         record = IterationRecord(self.time_index, self.iterations,
-                                 self.converged, self._filtered,
-                                 self._restarts, list(self._residual_norms))
-        self.accelerator.finish_step(self, self.converged)
+                                 self.converged, dropped, dropped,
+                                 list(self._residual_norms))
         self.time_index += 1
         return record
 

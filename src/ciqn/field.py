@@ -108,10 +108,6 @@ def axpy(alpha: float, x: InterfaceVector, y: InterfaceVector) -> InterfaceVecto
     return InterfaceVector(y.layout, y.comm, y.local + alpha * x.local)
 
 
-def scale(alpha: float, x: InterfaceVector) -> InterfaceVector:
-    return InterfaceVector(x.layout, x.comm, alpha * x.local)
-
-
 def gather(v: InterfaceVector) -> np.ndarray:
     """Full field, replicated on every rank."""
     return np.concatenate(v.comm.allgather(v.local))

@@ -76,7 +76,6 @@ class CellStats:
     sd: float | None
     diverged: bool
     restarts: int
-    filtered_columns: int
     steps_run: int
     wall_time: float
 
@@ -103,7 +102,6 @@ def run_cell(spec: SweepSpec, histories: int, ranking: int,
         mean, sd = _population_stats(iterations)
     return CellStats(histories, ranking, epsilon, mean, sd, result.diverged,
                      sum(r.restarts for r in result.records),
-                     sum(r.filtered_columns for r in result.records),
                      len(result.records), result.wall_time)
 
 
@@ -217,11 +215,15 @@ class ComparisonReport:
 
 def compare_accelerators(spec: SweepSpec,
                          accelerators=("ciqn", "aitken")) -> ComparisonReport:
-    """Run the same sweep grid once per accelerator."""
+    """Run the same sweep grid once per accelerator.  An empty list or an
+    unknown name raises ValueError before the first sweep starts."""
+    if not accelerators:
+        raise ValueError("no accelerator to compare")
+    specs = [replace(spec, accelerator=name, out=None)
+             for name in accelerators]
     report = ComparisonReport(tuple(accelerators))
-    for name in accelerators:
+    for name, one in zip(accelerators, specs):
         started = time.perf_counter()
-        cells = run_sweep(replace(spec, accelerator=name, out=None))
-        report.cells[name] = cells
+        report.cells[name] = run_sweep(one)
         report.wall_times[name] = time.perf_counter() - started
     return report

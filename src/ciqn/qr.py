@@ -138,22 +138,6 @@ def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
     return u, alpha, False, above
 
 
-def householder_vector(v: InterfaceVector, pivot_row: int):
-    """Reflector for one column: returns (u, alpha) with u distributed.
-
-    ``pivot_row`` is a global row on any rank.  After reflection the
-    column is alpha at the pivot and zero below; u is a unit vector or
-    exactly zero.
-    """
-    layout = v.layout
-    if not 0 <= pivot_row < layout.global_size:
-        raise ValueError("pivot row %d outside the %d interface rows"
-                         % (pivot_row, layout.global_size))
-    u_local, alpha, _, _ = _reflector_from_column(
-        layout, v.comm, v.local.copy(), pivot_row)
-    return InterfaceVector(layout, v.comm, u_local), alpha
-
-
 def _reflect(comm: RankComm, reflectors, identity_flags,
              t: np.ndarray) -> None:
     """Apply reflectors to local slice ``t`` in the given order, in place.
@@ -165,14 +149,6 @@ def _reflect(comm: RankComm, reflectors, identity_flags,
             continue
         coef = comm.allreduce_sum(float(u.local @ t))
         t -= 2.0 * coef * u.local
-
-
-def apply_reflector(u: InterfaceVector, t: InterfaceVector) -> InterfaceVector:
-    """t - 2*u*(u.t): one reduction, local update."""
-    _check_compatible(u, t)
-    out = t.local.copy()
-    _reflect(u.comm, [u], [False], out)
-    return InterfaceVector(t.layout, t.comm, out)
 
 
 def _householder(layout: PartitionLayout, comm: RankComm, work: np.ndarray,

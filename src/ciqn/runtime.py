@@ -172,10 +172,6 @@ class RankComm:
             lambda slots: [np.array(s, copy=True) for s in slots])
         return [np.array(s, copy=True) for s in out]
 
-    @property
-    def total_collectives(self) -> int:
-        return sum(self.counters.values())
-
 
 def _fold_scalars(slots: list) -> float:
     total = 0.0

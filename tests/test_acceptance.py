@@ -177,9 +177,9 @@ def test_criterion_6_duplicated_column_filtered_or_reported_singular():
             assert all(on_team(counts, duplicate_solve)), (
                 "no singular raise at counts %r" % (counts,))
 
-        # filter on: a history block injected twice gives an exact
-        # duplicate pair; one column is dropped, one restart counted,
-        # and the step still converges
+        # filter on: the first step's history block, pushed again,
+        # gives an exact duplicate pair; one column is dropped, one
+        # restart counted, and the step still converges
         problem = LinearFixedPoint(np.zeros((2, 2)), np.array([1.0, 2.0]))
         layout, comm = single_rank(2)
         coupler = Coupler(comm, layout,
@@ -187,7 +187,8 @@ def test_criterion_6_duplicated_column_filtered_or_reported_singular():
         first = coupler.run_time_step(problem)
         assert first.converged
         accel = coupler.accelerator
-        accel.history.push(*accel._staged)
+        accel.history.push(accel.history.v_columns(),
+                           accel.history.w_columns())
         second = coupler.run_time_step(problem)
         assert second.converged
         assert second.filtered_columns == 1, (

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ciqn import cli
+from ciqn import cli, harness
 
 
 def run_main(capsys, argv):
@@ -126,3 +126,14 @@ def test_compare_prints_summary(capsys, monkeypatch):
     assert code == 0
     assert "ciqn" in text and "aitken" in text
     assert "fewer iterations" in text
+
+
+@pytest.mark.parametrize("accel", ["ciqn,bogus", ""])
+def test_compare_rejects_bad_accelerators_before_any_cell(accel,
+                                                          monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "solve_coupled", no_cells)
+    with pytest.raises(SystemExit, match="^ciqn: accelerator must be"):
+        cli.main(["compare", "--accel", accel])

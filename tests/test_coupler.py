@@ -58,15 +58,16 @@ def test_history_store_is_newest_first():
     store.push([col(1.0)], [col(10.0)])
     store.push([col(2.0)], [col(20.0)])
     store.push([col(3.0)], [col(30.0)])  # evicts the oldest block
-    assert len(store) == 2
     assert [c.local[0] for c in store.v_columns()] == [3.0, 2.0]
     assert [c.local[0] for c in store.w_columns()] == [30.0, 20.0]
 
 
 def test_history_store_capacity_zero_ignores_pushes():
+    layout, comm = single_rank(1)
+    column = InterfaceVector(layout, comm, np.array([1.0]))
     store = HistoryStore(0)
-    store.push([], [])
-    assert len(store) == 0 and store.v_columns() == []
+    store.push([column], [column])
+    assert store.v_columns() == [] and store.w_columns() == []
 
 
 # -- quasi-Newton update ------------------------------------------------
@@ -102,12 +103,12 @@ def test_zero_projection_returns_operator_output_unchanged():
     layout, comm = single_rank(2)
     c = Coupler(comm, layout, cfg)
     accel = c.accelerator
-    accel.start_step(c)
+    accel.start_step()
     x = vector(layout, comm, [0.0, 0.0])
-    accel.propose(c, x, vector(layout, comm, [1.0, 1.0]),
+    accel.propose(x, vector(layout, comm, [1.0, 1.0]),
                   vector(layout, comm, [2.0, 5.0]))
     x_tilde = vector(layout, comm, [0.3, 0.7])
-    out = accel.propose(c, x, x_tilde, vector(layout, comm, [0.0, 5.0]))
+    out = accel.propose(x, x_tilde, vector(layout, comm, [0.0, 5.0]))
     np.testing.assert_array_equal(out.local, x_tilde.local)
 
 
@@ -150,6 +151,41 @@ def test_history_factored_once_per_step(monkeypatch):
     assert calls == [0.0] * 5
 
 
+def test_only_a_converged_step_pushes_its_block():
+    problem = problems.LinearFixedPoint.random_contraction(4, 0.6, seed=1)
+    layout, comm = single_rank(4)
+    c = Coupler(comm, layout, CouplerConfig(histories=3, ranking=5,
+                                            tol=1e-12, max_iters=3))
+    capped = c.run_time_step(problem)
+    assert not capped.converged and capped.iterations == 3
+    assert c.accelerator.history.v_columns() == []
+    c.config = CouplerConfig(histories=3, ranking=5, tol=1e-12,
+                             max_iters=20)
+    done = c.run_time_step(problem)
+    assert done.converged and done.iterations > 2
+    # one block: the last proposal's columns, one per earlier iterate
+    assert len(c.accelerator.history.v_columns()) == done.iterations - 2
+
+
+@pytest.mark.parametrize("name", cp.ACCELERATORS)
+def test_finish_step_returns_the_steps_dropped_columns(name):
+    # a history block pushed twice offers an exact duplicate pair, which
+    # the filter drops one column of (criterion 6's setup)
+    problem = problems.LinearFixedPoint(np.zeros((2, 2)), [1.0, 2.0])
+    config = CouplerConfig(epsilon=1e-9, histories=2, ranking=5)
+    layout, comm = single_rank(2)
+    accel = make_accelerator(name, config)
+    c = Coupler(comm, layout, config, accel)
+    c.run_time_step(problem)
+    if name == "ciqn":
+        accel.history.push(accel.history.v_columns(),
+                           accel.history.w_columns())
+    c.begin_time_step()
+    while not c.converged:
+        c.advance(problem.evaluate(c.x, c.time_index))
+    assert accel.finish_step(True) == (1 if name == "ciqn" else 0)
+
+
 def test_column_count_capped_by_leader_block():
     # 3 rows per rank; long steps offer more columns than the 6 rows
     lin = problems.LinearFixedPoint.random_contraction(6, 0.6, seed=4)
@@ -173,12 +209,12 @@ def test_aitken_scalar_second_update_is_exact():
 def test_aitken_keeps_factor_on_stagnant_residual():
     layout, comm = single_rank(2)
     accel = AitkenAccelerator(omega0=0.3)
-    accel.start_step(None)
+    accel.start_step()
     x = vector(layout, comm, [0.0, 0.0])
     r = vector(layout, comm, [1.0, -1.0])
-    first = accel.propose(None, x, None, r)
+    first = accel.propose(x, None, r)
     np.testing.assert_array_equal(first.local, [0.3, -0.3])
-    second = accel.propose(None, first, None, r.copy())
+    second = accel.propose(first, None, r.copy())
     assert accel._omega == 0.3  # unchanged on a zero residual increment
     np.testing.assert_array_equal(second.local, first.local + 0.3 * r.local)
 

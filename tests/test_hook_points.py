@@ -35,3 +35,15 @@ def test_qr_exposes_the_outcome_fields_and_errors():
     assert "identity_flags" in qr.HouseholderStack.__dataclass_fields__
     assert issubclass(qr.EmptySecantSpaceError, RuntimeError)
     assert issubclass(qr.SingularUpperError, RuntimeError)
+
+
+def test_accelerators_define_propose_in_the_coupler_module():
+    # the tracer finds what to time as the coupler module's own classes
+    # with ``propose`` in their class dict; an inherited or moved
+    # ``propose`` would silently read as zero time
+    config = coupler.CouplerConfig()
+    for name in coupler.ACCELERATORS:
+        cls = type(coupler.make_accelerator(name, config))
+        assert cls.__module__ == coupler.__name__, name
+        assert vars(coupler)[cls.__name__] is cls, name
+        assert "propose" in vars(cls), name

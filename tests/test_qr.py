@@ -9,85 +9,110 @@ from ciqn import qr
 from ciqn.field import gather
 from ciqn.qr import (EmptySecantSpaceError, HouseholderStack,
                      SingularUpperError, StepFactor, apply_qt,
-                     apply_reflector, back_substitute, decompose,
-                     householder_vector, reconstruct)
+                     back_substitute, decompose, reconstruct)
 from ciqn.runtime import RankComm
 
 from conftest import (compact_lstsq, dense_columns, on_team, random_tall,
                       single_rank, vector)
 
 
-# -- householder_vector -------------------------------------------------
+# -- reflectors ---------------------------------------------------------
+
+def first_reflector(columns):
+    """(alpha, reflector 0 gathered, its identity flag) of decompose."""
+    stack, _ = decompose(columns, 0.0)
+    return (stack.upper[0, 0], gather(stack.reflectors[0]),
+            stack.identity_flags[0])
+
 
 def test_reflector_already_triangular_column():
-    layout, comm = single_rank(3)
-    u, alpha = householder_vector(vector(layout, comm, [2.0, 0.0, 0.0]), 0)
-    assert alpha == 2.0
-    np.testing.assert_array_equal(u.local, np.zeros(3))
+    def body(comm, layout):
+        return first_reflector([vector(layout, comm, [2.0, 0.0, 0.0, 0.0])])
+
+    for alpha, u, identity in on_team([1, 1, 2], body):
+        assert alpha == 2.0 and identity
+        np.testing.assert_array_equal(u, np.zeros(4))
 
 
 def test_reflector_sign_rule_and_reflection():
-    layout, comm = single_rank(3)
-    v = vector(layout, comm, [0.0, 3.0, 4.0])
-    u, alpha = householder_vector(v, 0)
-    assert alpha == -5.0
-    reflected = apply_reflector(u, v)
-    np.testing.assert_allclose(reflected.local, [-5.0, 0.0, 0.0], atol=1e-14)
-    assert np.linalg.norm(u.local) == pytest.approx(1.0, rel=1e-14)
+    full = np.array([0.0, 3.0, 4.0, 0.0])
+
+    def body(comm, layout):
+        return first_reflector([vector(layout, comm, full)])
+
+    for alpha, u, identity in on_team([1, 1, 2], body):
+        # alpha takes the sign opposite to the pivot (+0.0 here)
+        assert alpha == -5.0 and not identity
+        assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-14)
+        np.testing.assert_allclose(full - 2.0 * u * (u @ full),
+                                   [-5.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_reflector_matches_across_partitionings():
     def body(comm, layout):
-        u, alpha = householder_vector(vector(layout, comm, [1.0, 1.0]), 0)
-        return gather(u), alpha
+        return first_reflector([vector(layout, comm, [1.0, 1.0])])
 
-    (u2, alpha2), _ = on_team([1, 1], body)
+    (alpha2, u2, _), _ = on_team([1, 1], body)
     layout, comm = single_rank(2)
-    u1, alpha1 = householder_vector(vector(layout, comm, [1.0, 1.0]), 0)
+    alpha1, u1, _ = first_reflector([vector(layout, comm, [1.0, 1.0])])
     assert alpha2 == pytest.approx(alpha1, rel=1e-14)
-    np.testing.assert_allclose(u2, u1.local, atol=1e-14)
+    np.testing.assert_allclose(u2, u1, atol=1e-14)
 
 
 def test_reflector_pivot_on_later_rank_matches_one_rank():
-    full = [1.0, 2.0, -3.0, 4.0]
+    # reflectors 1 and 2 pivot at rows 1 and 2: row 1 sits on rank 1
+    # behind rank 0's row, row 2 on rank 2
+    dense = np.array([[1.0, 2.0, -3.0, 4.0], [0.5, 1.0, 2.0, -1.0],
+                      [2.0, -1.0, 0.5, 3.0]]).T
+
+    def body(comm, layout):
+        stack, _ = decompose(dense_columns(layout, comm, dense), 0.0)
+        return stack.upper, [gather(u) for u in stack.reflectors]
+
     layout, comm = single_rank(4)
-    for pivot in (1, 2):
-        u1, alpha1 = householder_vector(vector(layout, comm, full), pivot)
-
-        def body(comm, layout):
-            u, alpha = householder_vector(vector(layout, comm, full), pivot)
-            return gather(u), alpha
-
-        # row 1 sits on rank 1 behind rank 0's row; row 2 on rank 2
-        for u, alpha in on_team([1, 1, 2], body):
-            assert alpha == pytest.approx(alpha1, rel=1e-14)
-            np.testing.assert_allclose(u, u1.local, atol=1e-14)
-    with pytest.raises(ValueError):
-        householder_vector(vector(layout, comm, full), 4)
+    upper1, refl1 = body(comm, layout)
+    for upper, refl in on_team([1, 1, 2], body):
+        np.testing.assert_allclose(upper, upper1, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(refl, refl1, atol=1e-14)
 
 
 def test_zero_column_gives_identity_reflector():
-    layout, comm = single_rank(3)
-    u, alpha = householder_vector(vector(layout, comm, [0.0, 0.0, 0.0]), 0)
-    assert alpha == 0.0
-    np.testing.assert_array_equal(u.local, np.zeros(3))
+    def body(comm, layout):
+        return first_reflector([vector(layout, comm, np.zeros(4))])
+
+    for alpha, u, identity in on_team([1, 1, 2], body):
+        assert alpha == 0.0 and identity
+        np.testing.assert_array_equal(u, np.zeros(4))
 
 
-# -- apply_reflector ----------------------------------------------------
+# -- applying reflectors -------------------------------------------------
+
+def applied(counts, u_full, t_full, flags):
+    """apply_qt of reflectors ``u_full`` (all the same vector) with the
+    given identity flags: per rank (head, allreduces spent)."""
+    def body(comm, layout):
+        u = vector(layout, comm, u_full)
+        stack = HouseholderStack([u] * len(flags), np.eye(len(flags)),
+                                 list(flags))
+        before = comm.counters["allreduce"]
+        head = apply_qt(stack, vector(layout, comm, t_full))
+        return head, comm.counters["allreduce"] - before
+
+    return on_team(counts, body)
+
 
 def test_apply_identity_reflector():
-    layout, comm = single_rank(3)
-    u = vector(layout, comm, [0.0, 0.0, 0.0])
-    t = vector(layout, comm, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(apply_reflector(u, t).local, t.local)
+    # an identity-flagged reflector is skipped, even when u is not zero
+    for head, reductions in applied([2, 1], [1.0, 0.0, 0.0],
+                                    [1.0, 2.0, 3.0], [True]):
+        np.testing.assert_array_equal(head, [1.0])
+        assert reductions == 1  # only the pivot rows' reduction
 
 
 def test_apply_axis_reflector_flips_sign():
-    layout, comm = single_rank(3)
-    u = vector(layout, comm, [1.0, 0.0, 0.0])
-    t = vector(layout, comm, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(apply_reflector(u, t).local,
-                                  [-1.0, 2.0, 3.0])
+    for head, _ in applied([2, 1], [0.0, 1.0, 0.0], [1.0, 2.0, 3.0],
+                           [False, True]):
+        np.testing.assert_array_equal(head, [1.0, -2.0])
 
 
 def test_apply_reflector_is_involutive():
@@ -95,18 +120,9 @@ def test_apply_reflector_is_involutive():
     u_full = rng.standard_normal(6)
     u_full /= np.linalg.norm(u_full)
     t_full = rng.standard_normal(6)
-
-    def body(comm, layout):
-        u = vector(layout, comm, u_full)
-        t = vector(layout, comm, t_full)
-        once = apply_reflector(u, t)
-        before = comm.counters["allreduce"]
-        twice = apply_reflector(u, once)
-        return comm.counters["allreduce"] - before, gather(twice)
-
-    for reductions, back in on_team([4, 2], body):
-        assert reductions == 1  # exactly one reduction per application
-        np.testing.assert_allclose(back, t_full, atol=1e-14)
+    for head, reductions in applied([4, 2], u_full, t_full, [False] * 2):
+        assert reductions == 3  # one per live reflector, plus the head
+        np.testing.assert_allclose(head, t_full[:2], atol=1e-14)
 
 
 # -- decompose ----------------------------------------------------------
