@@ -25,22 +25,14 @@ from .harness import (SweepSpec, compare_accelerators, render_table,
 from .problems import PROBLEMS, RELAX_ON
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok)
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with option defaults")
     parser.add_argument("--problem", choices=PROBLEMS)
-    parser.add_argument("--histories", type=_int_list,
+    parser.add_argument("--histories", type=lambda t: _grid_values(t, int),
                         help="comma-separated past-step counts")
-    parser.add_argument("--ranking", type=_int_list,
+    parser.add_argument("--ranking", type=lambda t: _grid_values(t, int),
                         help="comma-separated per-step column caps")
-    parser.add_argument("--epsilon", type=_float_list,
+    parser.add_argument("--epsilon", type=lambda t: _grid_values(t, float),
                         help="comma-separated filter thresholds")
     parser.add_argument("--relax-on", choices=RELAX_ON,
                         dest="relax_on")

@@ -23,7 +23,8 @@ reuse (``histories`` = T > 0) the column blocks of the last T converged
 steps are appended after the current step's block, and the combined
 count is capped by the interface size, which no partitioning changes.
 The history block is fixed within a step, so it is factored once per
-step and each proposal adds only the current columns to it
+step, in the same Householder pass as the step's first residual, and
+each later proposal adds only the current columns to it
 (:class:`ciqn.qr.StepFactor`).
 
 Every accelerator has the same three methods, and none of them sees the
@@ -45,7 +46,8 @@ import numpy as np
 
 from . import field
 from .field import InterfaceVector, PartitionLayout, split_evenly
-# apply_qt has no caller here; the benchmark's tracer wraps it by name
+# decompose and apply_qt have no caller here; the benchmark's tracer
+# wraps them by name
 from .qr import (EmptySecantSpaceError, SingularUpperError, StepFactor,
                  apply_qt, back_substitute, decompose)  # noqa: F401
 from .runtime import RankComm, run_spmd
@@ -102,8 +104,8 @@ class CouplerConfig:
 class IterationRecord:
     """Outcome of one time step.
 
-    filtered_columns and restarts both count the secant columns the
-    filter dropped during the step (one restart per drop).
+    restarts counts the secant columns the filter dropped during the
+    step (one restart per drop).
     residual_norms is diagnostic only and excluded from equality: the
     counts and flags must match across partitionings bit for bit, while
     norms may differ in the last ulp (reductions group differently).
@@ -112,7 +114,6 @@ class IterationRecord:
     time_index: int
     iterations: int
     converged: bool
-    filtered_columns: int
     restarts: int
     residual_norms: list[float] = dataclass_field(default_factory=list,
                                                   compare=False)
@@ -216,9 +217,7 @@ class CiqnAccelerator:
         cap = r.layout.global_size
         if self._factor is None:
             # the history block is fixed for the step: factor it once
-            history = self.history.v_columns()[:cap]
-            self._factor = StepFactor(
-                decompose(history, 0.0)[0] if history else None)
+            self._factor = StepFactor(self.history.v_columns()[:cap])
         current = v_cols[:cap]
         k_h = min(self._factor.columns, cap - len(current))
         if not current and not k_h:
@@ -332,7 +331,7 @@ class Coupler:
                 break
         dropped = self.accelerator.finish_step(self.converged)
         record = IterationRecord(self.time_index, self.iterations,
-                                 self.converged, dropped, dropped,
+                                 self.converged, dropped,
                                  list(self._residual_norms))
         self.time_index += 1
         return record

@@ -46,10 +46,6 @@ class PartitionLayout:
             off += c
         return cls(counts, off, tuple(starts))
 
-    @property
-    def nranks(self) -> int:
-        return len(self.counts)
-
 
 def split_evenly(global_size: int, nranks: int) -> tuple[int, ...]:
     """Near-equal contiguous split; the first ranks take the remainder."""

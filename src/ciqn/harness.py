@@ -48,6 +48,9 @@ class SweepSpec:
         """Reject, before any cell runs, what some cell would reject."""
         if not min(self.steps, self.ranks) >= 1:
             raise ValueError("steps and ranks must be >= 1")
+        for name in ("histories", "ranking", "epsilon"):
+            if not getattr(self, name):
+                raise ValueError("%s must be a non-empty list" % name)
         for name, allowed in (("accelerator", ACCELERATORS),
                               ("problem", PROBLEMS), ("relax_on", RELAX_ON)):
             if getattr(self, name) not in allowed:
@@ -77,7 +80,6 @@ class CellStats:
     diverged: bool
     restarts: int
     steps_run: int
-    wall_time: float
 
 
 def _population_stats(values) -> tuple[float, float]:
@@ -102,7 +104,7 @@ def run_cell(spec: SweepSpec, histories: int, ranking: int,
         mean, sd = _population_stats(iterations)
     return CellStats(histories, ranking, epsilon, mean, sd, result.diverged,
                      sum(r.restarts for r in result.records),
-                     len(result.records), result.wall_time)
+                     len(result.records))
 
 
 def csv_row(cell: CellStats) -> str:

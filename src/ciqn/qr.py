@@ -21,11 +21,14 @@ locally, and the scan goes on at j.  With epsilon = 0 an exactly
 dependent column surfaces later as a "singular U" error from the
 triangular solve.
 
-``StepFactor`` factors a step's history block H once, in compact WY
-form (Schreiber and Van Loan 1989); each proposal factors only the
-rows of Q_H^T C below H's triangle for the current columns C, then
-filters the small block [[A, R_H], [R_B, 0]] locally: block column
-insertion at the front (Hammarling and Lucas, MIMS EPrint 2008.111).
+``decompose``, ``apply_qt`` and ``reconstruct`` are the one-shot
+kernels.  The coupler's ``StepFactor`` factors a step's history block H
+in the Householder pass of the step's first proposal, which carries r;
+each later proposal projects through H's reflectors in compact WY form
+(Schreiber and Van Loan 1989), factors the rows of Q_H^T [C r] below
+H's triangle for the current columns C, then filters the small block
+[[A, R_H], [R_B, 0]] locally: block column insertion at the front
+(Hammarling and Lucas, MIMS EPrint 2008.111).
 """
 
 from __future__ import annotations
@@ -71,15 +74,13 @@ class HouseholderStack:
     reflectors[j] zeroes its column below global row j; each has unit
     norm or is zero (the identity).  ``upper`` is q-by-q, identical on
     all ranks; ``rotation`` (after a filter drop) is the first q rows of
-    the local orthogonal factor applied after the reflectors.  ``block``
-    has decompose's reflectors as its rows.
+    the local orthogonal factor applied after the reflectors.
     """
 
     reflectors: list[InterfaceVector]
     upper: np.ndarray
     identity_flags: list[bool] = dataclass_field(default_factory=list)
     rotation: np.ndarray | None = None
-    block: np.ndarray | None = dataclass_field(default=None, repr=False)
 
     @property
     def q(self) -> int:
@@ -228,7 +229,7 @@ def decompose(columns: list[InterfaceVector], epsilon: float):
     tri, flags = _householder(layout, comm, work, len(columns), 0)
     upper, rotation, outcome = _triangularize(tri, epsilon, True)
     stack = HouseholderStack([InterfaceVector(layout, comm, u) for u in work],
-                             upper, flags, rotation, work)
+                             upper, flags, rotation)
     return stack, outcome
 
 
@@ -247,20 +248,26 @@ def apply_qt(stack: HouseholderStack, r: InterfaceVector) -> np.ndarray:
 
 
 class StepFactor:
-    """One step's history factor: decompose's stack for the history
-    columns with epsilon = 0, or None.  Its leading k_H reflectors and
-    triangle block factor its leading k_H columns: truncation is free."""
+    """One step's factor of its history columns, which stay fixed for
+    the step.  The first ``factor`` call Householder-factors the leading
+    k_h of them in the same pass as its own columns and r; later calls
+    project through those reflectors.  The leading k_h reflectors and
+    triangle block factor the leading k_h columns (truncation is free),
+    so k_h may shrink within a step but not grow."""
 
-    def __init__(self, history: HouseholderStack | None):
-        self.history = history
-        self.columns = 0 if history is None else history.q
+    def __init__(self, history: list[InterfaceVector]):
+        self.columns = len(history)
+        self._unfactored = history
+        self._history = HouseholderStack([], np.zeros((0, 0)))
+        self._y = np.zeros((0, 0))  # the history reflectors, as rows
         self._wy_t: np.ndarray | None = None
 
     def _project(self, comm: RankComm, k_h: int, work: np.ndarray) -> None:
         """Apply Q_H^T of the first k_h reflectors to the rows of ``work``
-        with one reduction.  T is built on first use, from a Gram matrix
-        that rides on that reduction, so single-proposal steps skip it."""
-        y = self.history.block
+        with one reduction, in compact WY form Q_H = I - Y T Y^T.  T is
+        built on first use, from a Gram matrix that rides on that
+        reduction, so single-proposal steps skip it."""
+        y = self._y
         cross = y[:k_h] @ work.T
         if self._wy_t is None:
             k = len(y)
@@ -279,33 +286,35 @@ class StepFactor:
     def factor(self, columns: list[InterfaceVector], r: InterfaceVector,
                k_h: int, epsilon: float):
         """Factor [columns, first k_h history columns] and return (stack,
-        outcome, first q rows of Q^T r).  2c + 2 reductions for c >= 1
-        columns (2c + 1 if k_h = 0), whatever k_h and the filter do; with
-        none, apply_qt's count on the history stack."""
-        layout, comm, c, history = r.layout, r.comm, len(columns), self.history
-        reflectors = history.reflectors[:k_h] if k_h else []
-        flags = history.identity_flags[:k_h] if k_h else []
+        outcome, first q rows of Q^T r).  The step's first call makes one
+        Householder pass over [history; columns; r]: k_h + c + 1
+        reductions plus one per live reflector.  Every later call costs
+        2c + 2 (2c + 1 if k_h = 0), whatever k_h and the filter do."""
+        layout, comm, c = r.layout, r.comm, len(columns)
+        fresh, self._unfactored = self._unfactored[:k_h], []
+        if k_h > len(fresh) + self._history.q:
+            raise ValueError("k_h exceeds the step's factored history")
+        work = np.array([col.local for col in fresh + columns + [r]])
+        if k_h and not fresh:
+            self._project(comm, k_h, work)
+        tri, flags = _householder(layout, comm, work, len(fresh) + c,
+                                  k_h - len(fresh))
+        reflectors = [InterfaceVector(layout, comm, u) for u in work[:-1]]
+        if fresh:
+            self._y = work[:k_h]
+            self._history = HouseholderStack(reflectors[:k_h],
+                                             tri[:k_h, :k_h], flags[:k_h])
         m = np.zeros((k_h + c, c + k_h))
-        if k_h:
-            m[:k_h, c:] = history.upper[:k_h, :k_h]
-        if not c:
-            # the step's first proposal: no T yet, and none needed; later
-            # reflectors leave the rows before k_h alone
-            pre = apply_qt(history, r)[:k_h]
-        else:
-            work = np.array([col.local for col in columns] + [r.local])
-            if k_h:
-                self._project(comm, k_h, work)
-            m[:, :c], new_flags = _householder(layout, comm, work, c, k_h)
-            pre = comm.allreduce_sum_array(
-                _head_share(layout, comm.rank, work[c], k_h + c))
-            reflectors = reflectors + [InterfaceVector(layout, comm, u)
-                                       for u in work[:c]]
-            flags = flags + new_flags
+        m[:, :c] = tri[:, len(fresh):]
+        m[:k_h, c:] = self._history.upper[:k_h, :k_h]
+        pre = comm.allreduce_sum_array(
+            _head_share(layout, comm.rank, work[-1], k_h + c))
         upper, rotation, outcome = _triangularize(m, epsilon, not (c and k_h))
         head = pre[:len(upper)] if rotation is None else rotation @ pre
-        return (HouseholderStack(reflectors, upper, flags, rotation),
-                outcome, head)
+        stack = HouseholderStack(
+            self._history.reflectors[:k_h] + reflectors[len(fresh):], upper,
+            self._history.identity_flags[:k_h] + flags[len(fresh):], rotation)
+        return stack, outcome, head
 
 
 def back_substitute(stack: HouseholderStack, rhs: np.ndarray,

@@ -14,9 +14,9 @@ def run_main(capsys, argv):
 
 
 def test_list_parsers():
-    assert cli._int_list("0,1,2") == (0, 1, 2)
-    assert cli._int_list("5") == (5,)
-    assert cli._float_list("0.0,1e-9") == (0.0, 1e-9)
+    assert cli._grid_values("0,1,2", int) == (0, 1, 2)
+    assert cli._grid_values("5", int) == (5,)
+    assert cli._grid_values("0.0,1e-9", float) == (0.0, 1e-9)
 
 
 def test_parser_accepts_grid_flags():
@@ -107,7 +107,8 @@ def test_sweep_writes_csv_and_table(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [["--epsilon", "0,nan"], ["--steps", "0"],
-                                   ["--tol", "nan"]])
+                                   ["--tol", "nan"], ["--epsilon", ""],
+                                   ["--histories", ","], ["--ranking", ""]])
 def test_sweep_rejects_bad_values_before_any_cell(tmp_path, monkeypatch,
                                                   flags):
     monkeypatch.delenv("CIQN_SEED", raising=False)

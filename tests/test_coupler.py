@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ciqn import coupler as cp
-from ciqn import problems
+from ciqn import problems, qr
 from ciqn.coupler import (AitkenAccelerator, Coupler, CouplerConfig,
                           HistoryStore, IterationRecord, RankDisagreementError,
                           StepDivergedError, make_accelerator, solve_coupled)
@@ -134,21 +134,30 @@ def test_history_reuse_shortens_later_steps():
 
 
 def test_history_factored_once_per_step(monkeypatch):
-    real = cp.decompose
-    calls = []
+    real = qr._householder
+    passes = []  # (columns factored, first pivot row, rows) of each pass
 
-    def counted(columns, epsilon):
-        calls.append(epsilon)
-        return real(columns, epsilon)
+    def counted(layout, comm, work, ncols, offset):
+        passes.append((ncols, offset, len(work)))
+        return real(layout, comm, work, ncols, offset)
 
-    monkeypatch.setattr(cp, "decompose", counted)
-    cfg = CouplerConfig(histories=2, ranking=5, epsilon=1e-9)
-    res = solve_coupled(problems.AddedMassPiston(32), cfg, n_steps=6)
-    assert all(r.converged for r in res.records)
-    # several proposals a step, but the first step has no history and
-    # every later one factors its history block once, unfiltered
-    assert all(r.iterations >= 3 for r in res.records)
-    assert calls == [0.0] * 5
+    monkeypatch.setattr(qr, "_householder", counted)
+    problem = problems.AddedMassPiston(32)
+    layout, comm = single_rank(32)
+    coupler = Coupler(comm, layout,
+                      CouplerConfig(histories=2, ranking=5, epsilon=1e-9))
+    for step in range(6):
+        k_h = len(coupler.accelerator.history.v_columns())
+        assert (k_h > 0) == (step > 0)
+        passes.clear()
+        record = coupler.run_time_step(problem)
+        assert record.converged and record.iterations >= 3
+        # one pass per proposal, each carrying the residual: the step's
+        # first proposal has no current column, so its pass factors the
+        # history block; every later pass pivots below it
+        proposals = range(1, record.iterations - 1)
+        assert passes == [(k_h, 0, k_h + 1)] * (k_h > 0) \
+            + [(min(i, 5), k_h, min(i, 5) + 1) for i in proposals]
 
 
 def test_only_a_converged_step_pushes_its_block():
@@ -260,10 +269,10 @@ def test_non_finite_residual_aborts_step():
 # -- replicated control flow --------------------------------------------
 
 def test_records_compare_without_residual_norms():
-    a = IterationRecord(0, 3, True, 0, 0, [1.0, 0.5, 0.0])
-    b = IterationRecord(0, 3, True, 0, 0, [1.0, 0.5, 1e-16])
+    a = IterationRecord(0, 3, True, 0, [1.0, 0.5, 0.0])
+    b = IterationRecord(0, 3, True, 0, [1.0, 0.5, 1e-16])
     assert a == b
-    c = IterationRecord(0, 4, True, 0, 0, [1.0, 0.5, 0.0])
+    c = IterationRecord(0, 4, True, 0, [1.0, 0.5, 0.0])
     assert a != c
 
 

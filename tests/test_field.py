@@ -14,7 +14,7 @@ def test_layout_orderings():
     layout = PartitionLayout.from_counts([3, 7, 2])
     assert layout.global_size == 12
     assert layout.starts == (0, 3, 10)
-    assert layout.nranks == 3
+    assert len(layout.counts) == 3
 
 
 def test_layout_rejects_bad_counts():

@@ -396,17 +396,17 @@ def test_step_factor_matches_dense_reference():
         dense, c = secant_columns(rng, p)
         r_full = rng.standard_normal(p)
         n_h = min(dense.shape[1] - c, p)
-        # (current columns, history columns): a later proposal, whose
-        # history share the interface size may cut, and a step's first
-        proposals = [(c, min(n_h, p - c))] + ([(0, n_h)] if n_h else [])
+        # (current columns, history columns): a step's first proposal,
+        # as the coupler makes it, then a later one, whose history share
+        # the interface size may cut
+        proposals = ([(0, n_h)] if n_h else []) + [(c, min(n_h, p - c))]
         cases = [(np.hstack([dense[:, :now], dense[:, c:c + k]]), epsilon)
                  for now, k in proposals for epsilon in EPSILONS]
 
         def body(comm, layout):
             cols = dense_columns(layout, comm, dense)
             history = cols[c:c + n_h]
-            step = StepFactor(decompose(history, 0.0)[0] if history
-                              else None)
+            step = StepFactor(history)
             r = vector(layout, comm, r_full)
             out = []
             for now, k in proposals:
@@ -460,10 +460,10 @@ def test_step_factor_matches_dense_reference():
 
 
 def test_step_factor_collectives_on_spanning_pivots():
-    # team [1, 2, 6]: the history factor's reductions and the step's
-    # first projection are paid once per step; every later proposal pays
-    # 2c + 2 (2c + 1 with no history), whatever the history holds; a
-    # filter drop costs nothing
+    # team [1, 2, 6]: a step's first proposal factors the history in the
+    # pass that carries r, k_H + live reflectors + 1 reductions; every
+    # later proposal pays 2c + 2 (2c + 1 with no history), whatever the
+    # history holds; a filter drop costs nothing
     rng = np.random.default_rng(37)
     dense = random_tall(9, 7, 10.0, rng)
     r_full = rng.standard_normal(9)
@@ -482,18 +482,17 @@ def test_step_factor_collectives_on_spanning_pivots():
         r = vector(layout, comm, r_full)
         made = {}
         for k_h in (1, 3, 5):
-            made["history", k_h], (stack, _) = spent(
-                lambda: decompose(cols[2:2 + k_h], 0.0))
-            step = StepFactor(stack)
-            made["first", k_h], _ = spent(
+            step = StepFactor(cols[2:2 + k_h])
+            made["first", k_h], (stack, _, _) = spent(
                 lambda: step.factor([], r, k_h, 1e-9))
+            made["live", k_h] = sum(not f for f in stack.identity_flags)
             for c in (1, 2):
                 made[c, k_h], _ = spent(
                     lambda: step.factor(cols[:c], r, k_h, 1e-9))
             made["drop", k_h], (_, outcome, _) = spent(
                 lambda: step.factor([cols[0], twin], r, k_h, 1e-9))
             assert outcome.dropped == [1]
-        step = StepFactor(None)
+        step = StepFactor([])
         for c in (1, 2):
             made[c, 0], _ = spent(lambda: step.factor(cols[:c], r, 0, 1e-9))
         made["decompose drop"], (_, outcome) = spent(
@@ -503,12 +502,27 @@ def test_step_factor_collectives_on_spanning_pivots():
 
     for made in on_team([1, 2, 6], body):
         for k_h in (1, 3, 5):
-            assert made["history", k_h] == 2 * k_h - 1
-            # no current column yet: apply_qt on the history stack
-            assert made["first", k_h] == k_h + 1
+            assert made["live", k_h] == k_h
+            assert made["first", k_h] == k_h + made["live", k_h] + 1 \
+                == 2 * k_h + 1
             for c in (1, 2):
                 assert made[c, k_h] == 2 * c + 2
             assert made["drop", k_h] == 2 * 2 + 2
         for c in (1, 2):
             assert made[c, 0] == 2 * c + 1
         assert made["decompose drop"] == 2 * 5 - 1
+
+
+def test_step_factor_rejects_history_it_has_not_factored():
+    # truncation is free, growth is not: k_h may shrink within a step
+    layout, comm = single_rank(6)
+    cols = dense_columns(layout, comm,
+                         random_tall(6, 3, 10.0, np.random.default_rng(3)))
+    r = vector(layout, comm, np.ones(6))
+    with pytest.raises(ValueError):
+        StepFactor(cols[:2]).factor([], r, 3, 0.0)
+    step = StepFactor(cols[:2])
+    step.factor([], r, 1, 0.0)
+    step.factor(cols[2:], r, 1, 0.0)
+    with pytest.raises(ValueError):
+        step.factor(cols[2:], r, 2, 0.0)
