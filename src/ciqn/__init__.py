@@ -5,8 +5,8 @@ from .coupler import (ACCELERATORS, AitkenAccelerator, CiqnAccelerator,
                       PicardAccelerator, RankDisagreementError,
                       SimulationResult, StepDivergedError, make_accelerator,
                       solve_coupled)
-from .field import (InterfaceVector, PartitionLayout, axpy, distribute, dot,
-                    gather, norm2, split_evenly, zeros)
+from .field import (InterfaceVector, PartitionLayout, axpy, distribute, dots,
+                    gather, split_evenly, zeros)
 from .harness import (CellStats, ComparisonReport, SweepSpec,
                       compare_accelerators, render_table, run_sweep)
 from .problems import (AddedMassPiston, LinearFixedPoint, TwoInterfaceBlock,

@@ -28,11 +28,11 @@ from .problems import PROBLEMS, RELAX_ON
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with option defaults")
     parser.add_argument("--problem", choices=PROBLEMS)
-    parser.add_argument("--histories", type=lambda t: _grid_values(t, int),
+    parser.add_argument("--histories", type=_grid_flag(_integer, "integers"),
                         help="comma-separated past-step counts")
-    parser.add_argument("--ranking", type=lambda t: _grid_values(t, int),
+    parser.add_argument("--ranking", type=_grid_flag(_integer, "integers"),
                         help="comma-separated per-step column caps")
-    parser.add_argument("--epsilon", type=lambda t: _grid_values(t, float),
+    parser.add_argument("--epsilon", type=_grid_flag(_number, "numbers"),
                         help="comma-separated filter thresholds")
     parser.add_argument("--relax-on", choices=RELAX_ON,
                         dest="relax_on")
@@ -61,30 +61,92 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SPEC_KEYS = ("histories", "ranking", "epsilon", "problem", "relax_on",
-              "steps", "ranks", "tol", "omega0", "max_iters", "out")
+def _integer(value) -> int:
+    """An int, or a string or float that holds one exactly."""
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool) \
+                or isinstance(value, float) and value.is_integer():
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError("expected an integer, got %r" % (value,))
+
+
+def _number(value) -> float:
+    try:
+        if isinstance(value, (int, float, str)) \
+                and not isinstance(value, bool):
+            return float(value)
+    except ValueError:
+        pass
+    raise ValueError("expected a number, got %r" % (value,))
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("expected a string, got %r" % (value,))
+    return value
+
+
+def _names(value):
+    """One name, or a list of names as a tuple."""
+    if isinstance(value, list):
+        return tuple(_text(v) for v in value)
+    return _text(value)
 
 
 def _grid_values(value, parse_one) -> tuple:
     """Accept a JSON list, a bare scalar, or the flag-style comma string."""
     if isinstance(value, str):
         return tuple(parse_one(tok) for tok in value.split(",") if tok)
-    if isinstance(value, (int, float)):
-        return (parse_one(value),)
-    return tuple(parse_one(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return tuple(parse_one(v) for v in value)
+    return (parse_one(value),)
+
+
+def _grid_flag(parse_one, what: str):
+    """argparse type of a comma-separated grid flag."""
+    def parse(text: str) -> tuple:
+        try:
+            return _grid_values(text, parse_one)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "expected comma-separated %s, got %r" % (what, text))
+    return parse
+
+
+# how each config file key is read
+_CONFIG_PARSERS = {
+    "histories": lambda v: _grid_values(v, _integer),
+    "ranking": lambda v: _grid_values(v, _integer),
+    "epsilon": lambda v: _grid_values(v, _number),
+    "problem": _text, "relax_on": _text, "out": _text,
+    "steps": _integer, "ranks": _integer, "max_iters": _integer,
+    "tol": _number, "omega0": _number,
+    "accel": _names,
+}
+_SPEC_KEYS = tuple(key for key in _CONFIG_PARSERS if key != "accel")
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    unknown = set(data) - set(_SPEC_KEYS) - {"accel"}
+    """Read a JSON config; any fault exits with ``ciqn: <message>``."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise SystemExit("ciqn: cannot read config %s: %s" % (path, err))
+    if not isinstance(data, dict):
+        raise SystemExit("ciqn: config must be a JSON object, not %s"
+                         % type(data).__name__)
+    unknown = set(data) - set(_CONFIG_PARSERS)
     if unknown:
-        raise SystemExit("unknown config keys: %s" % ", ".join(sorted(unknown)))
-    for key in ("histories", "ranking"):
-        if key in data:
-            data[key] = _grid_values(data[key], int)
-    if "epsilon" in data:
-        data["epsilon"] = _grid_values(data["epsilon"], float)
+        raise SystemExit("ciqn: unknown config keys: %s"
+                         % ", ".join(sorted(unknown)))
+    for key in data:
+        try:
+            data[key] = _CONFIG_PARSERS[key](data[key])
+        except ValueError as err:
+            raise SystemExit("ciqn: config key %r: %s" % (key, err))
     return data
 
 

@@ -27,13 +27,23 @@ step, in the same Householder pass as the step's first residual, and
 each later proposal adds only the current columns to it
 (:class:`ciqn.qr.StepFactor`).
 
-Every accelerator has the same three methods, and none of them sees the
+Every accelerator has the same four methods, and none of them sees the
 :class:`Coupler`: ``start_step()`` at the start of a time step,
-``propose(x, x_tilde, r)`` for each iterate that has not converged (the
-layout and communicator travel with ``r``), and
+``inner_products(r)`` and ``propose(x, x_tilde, r, sums)`` for each
+iterate (the layout and communicator travel with ``r``), and
 ``finish_step(converged)`` at the end of the step, which returns how
 many secant columns the filter dropped during it.  Picard and Aitken
 drop none; ciqn pushes a converged step's columns into its history.
+
+Each coupling iteration makes one reduction for all of its scalars.
+``inner_products(r)`` names, as (a, b) pairs of interface vectors, the
+inner products the accelerator needs for the current residual: Aitken
+names (delta, delta) and (r_prev, delta) once it has an r_prev, Picard
+and ciqn none.  The coupler sums them with r . r in one
+:func:`ciqn.field.dots` call, takes the norm, finiteness and convergence
+tests from the first sum, and hands the others to ``propose`` in order.
+On the iteration that converges, Aitken's products are local work spent
+for nothing.
 """
 
 from __future__ import annotations
@@ -142,8 +152,11 @@ class PicardAccelerator:
     def start_step(self) -> None:
         pass
 
+    def inner_products(self, r: InterfaceVector) -> list:
+        return []
+
     def propose(self, x: InterfaceVector, x_tilde: InterfaceVector,
-                r: InterfaceVector) -> InterfaceVector:
+                r: InterfaceVector, sums: list[float]) -> InterfaceVector:
         return x_tilde.copy()
 
     def finish_step(self, converged: bool) -> int:
@@ -170,16 +183,21 @@ class AitkenAccelerator:
         self._omega = None
         self._prev_r = None
 
-    def propose(self, x, x_tilde, r) -> InterfaceVector:
+    def inner_products(self, r) -> list:
+        if self._prev_r is None:
+            return []
+        delta = field.axpy(-1.0, self._prev_r, r)
+        return [(delta, delta), (self._prev_r, delta)]
+
+    def propose(self, x, x_tilde, r, sums) -> InterfaceVector:
         if self._prev_r is None:
             omega = self.omega0
         else:
-            delta = field.axpy(-1.0, self._prev_r, r)
-            denom = field.dot(delta, delta)
+            denom, cross = sums
             if denom == 0.0:
                 omega = self._omega
             else:
-                omega = -self._omega * field.dot(self._prev_r, delta) / denom
+                omega = -self._omega * cross / denom
                 omega = min(2.0, max(-2.0, omega))
         self._omega = omega
         self._prev_r = r.copy()
@@ -206,7 +224,10 @@ class CiqnAccelerator:
         self._factor = None
         self._dropped = 0
 
-    def propose(self, x, x_tilde, r) -> InterfaceVector:
+    def inner_products(self, r) -> list:
+        return []
+
+    def propose(self, x, x_tilde, r, sums) -> InterfaceVector:
         cfg = self.config
         v_cols = [field.axpy(-1.0, r, past_r) for past_r, _ in self._log]
         w_cols = [field.axpy(-1.0, x_tilde, past_xt)
@@ -297,11 +318,13 @@ class Coupler:
 
         Counts one iteration, updates the residual, and either declares
         convergence (next iterate is x_tilde itself) or asks the
-        accelerator for the next iterate.  Non-finite residual raises
-        StepDivergedError on every rank alike.
+        accelerator for the next iterate.  The residual norm and the
+        accelerator's inner products share one reduction.  Non-finite
+        residual raises StepDivergedError on every rank alike.
         """
         r = field.axpy(-1.0, self.x, x_tilde)
-        rn = field.norm2(r)
+        rr, *sums = field.dots([(r, r)] + self.accelerator.inner_products(r))
+        rn = float(np.sqrt(rr))
         self.iterations += 1
         self._residual_norms.append(rn)
         if not np.isfinite(rn):
@@ -315,7 +338,7 @@ class Coupler:
             self.converged = True
             self.x = x_tilde.copy()
             return self.x
-        self.x = self.accelerator.propose(self.x, x_tilde, r)
+        self.x = self.accelerator.propose(self.x, x_tilde, r, sums)
         return self.x
 
     def run_time_step(self, problem) -> IterationRecord:

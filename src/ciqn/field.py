@@ -87,15 +87,21 @@ def _check_compatible(a: InterfaceVector, b: InterfaceVector) -> None:
         raise ValueError("mismatched layouts")
 
 
-def dot(a: InterfaceVector, b: InterfaceVector) -> float:
-    """Global inner product: one reduction, rank-ordered fold."""
-    _check_compatible(a, b)
-    return a.comm.allreduce_sum(float(a.local @ b.local))
+def dots(pairs) -> list[float]:
+    """Global inner products of (a, b) vector pairs, in order.
 
-
-def norm2(a: InterfaceVector) -> float:
-    """Global Euclidean norm (one reduction)."""
-    return float(np.sqrt(dot(a, a)))
+    All of them share one reduction, folded in rank order.  Each local
+    product accumulates from +0.0, so no rank contributes -0.0 and the
+    sums are bitwise those of one scalar reduction per pair.
+    """
+    if not pairs:
+        raise ValueError("no vector pairs")
+    first = pairs[0][0]
+    for a, b in pairs:
+        _check_compatible(first, a)
+        _check_compatible(a, b)
+    local = [float(a.local @ b.local) for a, b in pairs]
+    return first.comm.allreduce_sum_array(local).tolist()
 
 
 def axpy(alpha: float, x: InterfaceVector, y: InterfaceVector) -> InterfaceVector:

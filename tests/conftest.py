@@ -1,7 +1,9 @@
 """Shared test helpers for the simulated-rank modules."""
 
 import numpy as np
+import pytest
 
+from ciqn import coupler
 from ciqn.field import InterfaceVector, PartitionLayout, distribute
 from ciqn.qr import apply_qt, back_substitute, decompose
 from ciqn.runtime import RankComm, run_spmd
@@ -17,6 +19,24 @@ def on_team(counts, body, timeout: float = 30.0):
     layout = PartitionLayout.from_counts(counts)
     return run_spmd(len(counts), lambda comm: body(comm, layout),
                     timeout=timeout)
+
+
+def counted_solve(*args, **kwargs):
+    """``solve_coupled`` plus each rank's collective counters at exit."""
+    real_run_spmd = coupler.run_spmd
+    counters = {}
+
+    def run_counted(nranks, body):
+        def counted(comm):
+            out = body(comm)
+            counters[comm.rank] = dict(comm.counters)
+            return out
+        return real_run_spmd(nranks, counted)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coupler, "run_spmd", run_counted)
+        result = coupler.solve_coupled(*args, **kwargs)
+    return result, [counters[rank] for rank in sorted(counters)]
 
 
 def vector(layout, comm, full) -> InterfaceVector:

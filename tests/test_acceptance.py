@@ -11,14 +11,16 @@ from contextlib import contextmanager
 import numpy as np
 from mpmath import mp
 
-from ciqn.coupler import Coupler, CouplerConfig, solve_coupled
+from ciqn.coupler import (ACCELERATORS, Coupler, CouplerConfig,
+                          solve_coupled)
 from ciqn.harness import SweepSpec, render_table, run_cell, run_sweep
-from ciqn.problems import LinearFixedPoint, TwoInterfaceBlock, make_problem
+from ciqn.problems import (PROBLEMS, LinearFixedPoint, TwoInterfaceBlock,
+                           make_problem)
 from ciqn.qr import (SingularUpperError, apply_qt, back_substitute, decompose,
                      reconstruct)
 
-from conftest import (compact_lstsq, dense_columns, on_team, random_tall,
-                      single_rank, vector)
+from conftest import (compact_lstsq, counted_solve, dense_columns, on_team,
+                      random_tall, single_rank, vector)
 
 
 @contextmanager
@@ -268,3 +270,66 @@ def test_criterion_9_partition_invariance_when_columns_outnumber_rank_rows():
                 drift = np.linalg.norm(other.solution - base.solution) / scale
                 assert drift <= config.tol, (
                     "counts %r drifted the solution by %.3e" % (counts, drift))
+
+
+def random_config(rng):
+    """A small valid run: problem, accelerator, config, partition, steps."""
+    name = PROBLEMS[rng.integers(len(PROBLEMS))]
+    dim = (2 * int(rng.integers(1, 13)) if name == "two"
+           else int(rng.integers(1, 25)))
+    problem = make_problem(name, seed=int(rng.integers(1000)), dim=dim)
+    config = CouplerConfig(histories=int(rng.integers(4)),
+                           ranking=int(rng.integers(1, 7)),
+                           epsilon=float(rng.choice([0.0, 1e-9, 1e-3, 0.1])),
+                           tol=1e-8)
+    # cut points drawn with repeats, so some ranks may own no rows
+    cuts = np.sort(rng.integers(0, dim + 1, int(rng.integers(4))))
+    counts = [int(c) for c in np.diff([0, *cuts, dim])]
+    accelerator = ACCELERATORS[rng.integers(len(ACCELERATORS))]
+    return problem, config, counts, accelerator, int(rng.integers(1, 6))
+
+
+def affine_jacobian(problem):
+    """Every model problem is x -> M x + c; returns M, column by column."""
+    layout, comm = single_rank(problem.dimension)
+
+    def at(full):
+        return problem.evaluate(vector(layout, comm, full), 0).local
+
+    base = at(np.zeros(problem.dimension))
+    return np.column_stack([at(e) - base for e in np.eye(problem.dimension)])
+
+
+def test_criterion_10_random_configs_are_deterministic_and_accurate():
+    with criterion(10, "random configs: reruns identical, one reduction per "
+                   "scalar-update iteration, converged steps at the oracle",
+                   20.0):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            problem, config, counts, accel, steps = random_config(rng)
+            case = "seed %d: %s %s %r %s" % (seed, type(problem).__name__,
+                                             accel, counts, config)
+            runs = [counted_solve(problem, config, steps, accelerator=accel,
+                                  counts=counts) for _ in range(2)]
+            (first, counters), (again, counters_again) = runs
+            assert first.records == again.records, case
+            assert [r.residual_norms for r in first.records] \
+                == [r.residual_norms for r in again.records], case
+            assert first.solution.tobytes() == again.solution.tobytes(), case
+            assert counters == counters_again, case
+            iterations = sum(r.iterations for r in first.records)
+            if accel != "ciqn":
+                assert counters == [{"allreduce": iterations, "broadcast": 0,
+                                     "allgather": iterations + 1}] \
+                    * len(counts), case
+            last = first.records[-1]
+            if last.converged:
+                # x_tilde - x* = M (M - I)^-1 r for the affine map
+                jac = affine_jacobian(problem)
+                gain = np.linalg.norm(
+                    jac @ np.linalg.inv(jac - np.eye(len(jac))), 2)
+                exact = problem.exact_solution(last.time_index)
+                error = np.linalg.norm(first.solution - exact)
+                assert error <= gain * last.residual_norms[-1] * (1 + 1e-9) \
+                    + 1e-11 * max(1.0, gain) * (1 + np.linalg.norm(exact)), \
+                    case

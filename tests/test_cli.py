@@ -1,9 +1,14 @@
 """Command line parsing and end-to-end subcommand runs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ciqn
 from ciqn import cli, harness
 
 
@@ -17,6 +22,24 @@ def test_list_parsers():
     assert cli._grid_values("0,1,2", int) == (0, 1, 2)
     assert cli._grid_values("5", int) == (5,)
     assert cli._grid_values("0.0,1e-9", float) == (0.0, 1e-9)
+    assert cli._grid_values([2, 3.0], cli._integer) == (2, 3)
+    for bad in (1.5, "1.5", True, None, float("inf")):
+        with pytest.raises(ValueError, match="expected an integer"):
+            cli._integer(bad)
+    for bad in ("x", False, None, [1.0]):
+        with pytest.raises(ValueError, match="expected a number"):
+            cli._number(bad)
+
+
+@pytest.mark.parametrize("flag,value,expected", [
+    ("--histories", "x", "integers"), ("--ranking", "5,1.5", "integers"),
+    ("--epsilon", "0,y", "numbers")])
+def test_grid_flags_name_what_they_expect(capsys, flag, value, expected):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["sweep", flag, value])
+    err = capsys.readouterr().err
+    assert "argument %s: expected comma-separated %s, got %r" \
+        % (flag, expected, value) in err
 
 
 def test_parser_accepts_grid_flags():
@@ -40,6 +63,34 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"steps": 3, "colour": "red"}))
     with pytest.raises(SystemExit, match="colour"):
         cli._load_config(str(path))
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read config"),
+    ("{", "cannot read config"),
+    ("[1, 2]", "config must be a JSON object, not list"),
+    ('{"histories": "x"}', "'histories': expected an integer, got 'x'"),
+    ('{"histories": [1.5]}', "'histories': expected an integer, got 1.5"),
+    ('{"ranking": true}', "'ranking': expected an integer, got True"),
+    ('{"epsilon": ["x"]}', "'epsilon': expected a number, got 'x'"),
+    ('{"steps": 2.5}', "'steps': expected an integer, got 2.5"),
+    ('{"tol": null}', "'tol': expected a number, got None"),
+    ('{"out": 3}', "'out': expected a string, got 3"),
+    ('{"accel": 3}', "'accel': expected a string, got 3"),
+    ('{"accel": ["ciqn", 3]}', "'accel': expected a string, got 3"),
+])
+def test_config_file_errors_exit_before_any_cell(tmp_path, monkeypatch,
+                                                 content, message):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "solve_coupled", no_cells)
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    for command in ("sweep", "compare"):
+        with pytest.raises(SystemExit, match="^ciqn: .*" + message):
+            cli.main([command, "--config", str(path)])
 
 
 def test_config_file_provides_defaults_flags_win(tmp_path, capsys, monkeypatch):
@@ -116,6 +167,20 @@ def test_sweep_rejects_bad_values_before_any_cell(tmp_path, monkeypatch,
     with pytest.raises(SystemExit, match="must be"):
         cli.main(["sweep", "--problem", "linear", *flags, "--out", str(out)])
     assert not out.exists()
+
+
+def test_module_runs_from_a_checkout(tmp_path):
+    # ``python -m ciqn`` with only the source tree on the path
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ciqn.__file__).resolve().parents[1]))
+    env.pop("CIQN_SEED", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "ciqn", "sweep", "--problem", "linear",
+         "--histories", "0", "--ranking", "5", "--epsilon", "0",
+         "--steps", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("histories ranking")
 
 
 def test_compare_prints_summary(capsys, monkeypatch):

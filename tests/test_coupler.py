@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from ciqn import coupler as cp
-from ciqn import problems, qr
-from ciqn.coupler import (AitkenAccelerator, Coupler, CouplerConfig,
-                          HistoryStore, IterationRecord, RankDisagreementError,
-                          StepDivergedError, make_accelerator, solve_coupled)
+from ciqn import field, problems, qr
+from ciqn.coupler import (RESIDUAL_FLOOR, AitkenAccelerator, Coupler,
+                          CouplerConfig, HistoryStore, IterationRecord,
+                          RankDisagreementError, StepDivergedError,
+                          make_accelerator, solve_coupled)
 from ciqn.field import InterfaceVector, PartitionLayout
 from ciqn.runtime import RankComm
 
-from conftest import single_rank, vector
+from conftest import counted_solve, on_team, single_rank, vector
 
 
 def scalar_problem():
@@ -106,9 +107,9 @@ def test_zero_projection_returns_operator_output_unchanged():
     accel.start_step()
     x = vector(layout, comm, [0.0, 0.0])
     accel.propose(x, vector(layout, comm, [1.0, 1.0]),
-                  vector(layout, comm, [2.0, 5.0]))
+                  vector(layout, comm, [2.0, 5.0]), [])
     x_tilde = vector(layout, comm, [0.3, 0.7])
-    out = accel.propose(x, x_tilde, vector(layout, comm, [0.0, 5.0]))
+    out = accel.propose(x, x_tilde, vector(layout, comm, [0.0, 5.0]), [])
     np.testing.assert_array_equal(out.local, x_tilde.local)
 
 
@@ -219,13 +220,111 @@ def test_aitken_keeps_factor_on_stagnant_residual():
     layout, comm = single_rank(2)
     accel = AitkenAccelerator(omega0=0.3)
     accel.start_step()
+
+    def propose(x, r):
+        # the coupler's side of the contract: one reduction for r . r
+        # and the named products, the latter handed back in order
+        _, *sums = field.dots([(r, r)] + accel.inner_products(r))
+        return accel.propose(x, None, r, sums)
+
     x = vector(layout, comm, [0.0, 0.0])
     r = vector(layout, comm, [1.0, -1.0])
-    first = accel.propose(x, None, r)
+    first = propose(x, r)
     np.testing.assert_array_equal(first.local, [0.3, -0.3])
-    second = accel.propose(first, None, r.copy())
+    second = propose(first, r.copy())
     assert accel._omega == 0.3  # unchanged on a zero residual increment
     np.testing.assert_array_equal(second.local, first.local + 0.3 * r.local)
+
+
+class NegativeZeroRows(problems.LinearFixedPoint):
+    """A linear map whose first rows always evaluate to -0.0.
+
+    With x = +0.0 there, those residual rows are -0.0, so a rank that
+    owns only them holds an r_prev . delta whose local products are all
+    -0.0.
+    """
+
+    ZERO_ROWS = 3
+
+    def evaluate(self, x, time_index):
+        out = field.gather(super().evaluate(x, time_index))
+        out[:self.ZERO_ROWS] = -0.0
+        return field.distribute(x.layout, x.comm, out)
+
+
+def reference_aitken(problem, config, steps, comm, layout):
+    """Aitken with one scalar reduction per inner product.
+
+    Also counts the iterations in which this rank's local products of
+    r_prev . delta are all -0.0 (on a non-empty slice).
+    """
+    total = lambda a, b: comm.allreduce_sum(float(a.local @ b.local))
+    x, records, negative_zero = field.zeros(layout, comm), [], 0
+    for t in range(steps):
+        r_prev, norms = None, []
+        for it in range(1, config.max_iters + 1):
+            x_tilde = problem.evaluate(x, t)
+            r = field.axpy(-1.0, x, x_tilde)
+            norms.append(float(np.sqrt(total(r, r))))
+            if norms[-1] <= config.tol * max(norms[0], RESIDUAL_FLOOR):
+                x = x_tilde.copy()
+                break
+            if r_prev is None:
+                omega = config.omega0
+            else:
+                delta = field.axpy(-1.0, r_prev, r)
+                products = r_prev.local * delta.local
+                negative_zero += bool(products.size) \
+                    and bool(np.signbit(products).all())
+                denom, cross = total(delta, delta), total(r_prev, delta)
+                if denom != 0.0:
+                    omega = min(2.0, max(-2.0, -omega * cross / denom))
+            r_prev, x = r, field.axpy(omega, r, x)
+        converged = norms[-1] <= config.tol * max(norms[0], RESIDUAL_FLOOR)
+        records.append(IterationRecord(t, it, converged, 0, norms))
+    return records, field.gather(x), negative_zero
+
+
+@pytest.mark.parametrize("kind", [problems.LinearFixedPoint,
+                                  NegativeZeroRows])
+def test_aitken_matches_scalar_reduction_reference(kind):
+    # one array reduction folds s0 + s1 + ..., one scalar reduction per
+    # product folds 0.0 + s0 + s1 + ...; they can differ only if s0 is
+    # -0.0, which a local dot product never returns
+    linear = problems.make_problem("linear", seed=0, dim=8)
+    problem = kind(linear.matrix, linear.offset)
+    config = CouplerConfig(tol=1e-8)
+    for counts in ([8], [3, 5], [0, 3, 5], [1] * 8):
+        result = solve_coupled(problem, config, 5, accelerator="aitken",
+                               counts=counts)
+        per_rank = on_team(counts, lambda comm, layout: reference_aitken(
+            problem, config, 5, comm, layout))
+        records, solution, _ = per_rank[0]
+        assert all(record.converged for record in records)
+        assert result.records == records
+        assert [r.residual_norms for r in result.records] \
+            == [r.residual_norms for r in records]
+        assert result.solution.tobytes() == solution.tobytes()
+        if kind is NegativeZeroRows and counts == [3, 5]:
+            # rank 0 owns exactly the -0.0 rows
+            assert per_rank[0][2] > 0
+
+
+@pytest.mark.parametrize("name", cp.ACCELERATORS)
+def test_one_allreduce_per_iteration_on_a_spanning_team(name):
+    problem = problems.make_problem("linear", seed=0, dim=8)
+    config = CouplerConfig(histories=1, ranking=5, epsilon=1e-9, tol=1e-8)
+    result, counters = counted_solve(problem, config, 5, accelerator=name,
+                                     counts=[0, 3, 5])
+    iterations = sum(r.iterations for r in result.records)
+    if name == "ciqn":
+        # the factor's reductions come on top of the residual's one
+        assert iterations == 30
+        expected = {"allreduce": 214, "broadcast": 0, "allgather": 31}
+    else:
+        expected = {"allreduce": iterations, "broadcast": 0,
+                    "allgather": iterations + 1}
+    assert counters == [expected] * 3
 
 
 def test_aitken_monotone_on_contraction():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ciqn import field
+from ciqn import field, runtime
 from ciqn.field import InterfaceVector, PartitionLayout, split_evenly
 from ciqn.runtime import RankComm, run_spmd
 
@@ -43,16 +43,16 @@ def test_vector_validates_local_slice():
 def test_dot_ones():
     def body(comm, layout):
         v = vector(layout, comm, [1.0, 1.0, 1.0, 1.0])
-        return field.dot(v, v)
+        return field.dots([(v, v)])
 
-    assert on_team([2, 2], body) == [4.0, 4.0]
+    assert on_team([2, 2], body) == [[4.0], [4.0]]
 
 
 def test_dot_single_rank():
     layout, comm = single_rank(2)
     a = InterfaceVector(layout, comm, np.array([1.0, 2.0]))
     b = InterfaceVector(layout, comm, np.array([3.0, 4.0]))
-    assert field.dot(a, b) == 11.0
+    assert field.dots([(a, b), (a, a), (b, b)]) == [11.0, 5.0, 25.0]
 
 
 def test_dot_matches_single_rank_reference():
@@ -61,18 +61,44 @@ def test_dot_matches_single_rank_reference():
     reference = float(a_full @ b_full)
 
     def body(comm, layout):
-        return field.dot(vector(layout, comm, a_full),
-                         vector(layout, comm, b_full))
+        a, b = vector(layout, comm, a_full), vector(layout, comm, b_full)
+        return field.dots([(a, b), (b, a)])
 
     for got in on_team([6, 6, 5], body):
-        assert got == pytest.approx(reference, rel=1e-14)
+        assert got[0] == got[1] == pytest.approx(reference, rel=1e-14)
+
+
+def test_dots_fold_like_one_scalar_reduction_per_pair():
+    # an array fold (s0 + s1 + ...) and a scalar fold (0.0 + s0 + ...)
+    # differ only in the sign of a -0.0 first partial ...
+    assert np.signbit(runtime._fold_arrays([np.array([-0.0])])[0])
+    assert not np.signbit(runtime._fold_scalars([-0.0]))
+    # ... and no local dot product is -0.0, even when every local
+    # product is, or the slice is empty
+    a_full = [-0.0, -0.0, -0.0, 0.0, 0.0]
+    b_full = [1.0, 3.0, 5.0, -1.0, -2.0]
+
+    def body(comm, layout):
+        a, b = vector(layout, comm, a_full), vector(layout, comm, b_full)
+        pairs = [(a, b), (b, b), (a, a)]
+        assert np.signbit(a.local * b.local).all()
+        partials = [float(u.local @ v.local) for u, v in pairs]
+        scalar = [comm.allreduce_sum(p) for p in partials]
+        return np.signbit(partials), field.dots(pairs), scalar
+
+    for counts in ([3, 2], [3, 0, 2]):
+        for partial_signs, sums, scalar in on_team(counts, body):
+            assert not partial_signs.any()
+            assert sums == scalar == [0.0, 40.0, 0.0]
+            assert not np.signbit(sums).any()
 
 
 def test_norm_examples():
     layout, comm = single_rank(2)
-    assert field.norm2(field.zeros(layout, comm)) == 0.0
+    zero = field.zeros(layout, comm)
+    assert field.dots([(zero, zero)]) == [0.0]
     v = InterfaceVector(layout, comm, np.array([3.0, 4.0]))
-    assert field.norm2(v) == 5.0
+    assert np.sqrt(field.dots([(v, v)])[0]) == 5.0
 
 
 def test_norm_cross_partition_agreement():
@@ -81,7 +107,8 @@ def test_norm_cross_partition_agreement():
     reference = float(np.linalg.norm(full))
 
     def body(comm, layout):
-        return field.norm2(vector(layout, comm, full))
+        v = vector(layout, comm, full)
+        return np.sqrt(field.dots([(v, v)])[0])
 
     for got in on_team([9, 8, 8, 8], body):
         assert got == pytest.approx(reference, rel=1e-13)
@@ -123,7 +150,11 @@ def test_mismatched_layouts_rejected():
     a = InterfaceVector(layout_a, comm, np.zeros(2))
     b = InterfaceVector(layout_b, comm, np.zeros(2))
     with pytest.raises(ValueError):
-        field.dot(a, b)
+        field.dots([(a, b)])
+    with pytest.raises(ValueError):
+        field.dots([(a, a), (b, b)])
+    with pytest.raises(ValueError):
+        field.dots([])
 
 
 def test_copy_is_independent():
