@@ -3,8 +3,7 @@
 from .coupler import (ACCELERATORS, AitkenAccelerator, CiqnAccelerator,
                       Coupler, CouplerConfig, HistoryStore, IterationRecord,
                       PicardAccelerator, RankDisagreementError,
-                      SimulationResult, StepDivergedError, make_accelerator,
-                      solve_coupled)
+                      SimulationResult, make_accelerator, solve_coupled)
 from .field import (InterfaceVector, PartitionLayout, axpy, distribute, dots,
                     gather, split_evenly, zeros)
 from .harness import (CellStats, ComparisonReport, SweepSpec,

@@ -161,7 +161,10 @@ def _make_spec(args: argparse.Namespace, default_accel) -> tuple[SweepSpec, obje
             options[key] = value
     if getattr(args, "accel", None) is not None:
         accel = args.accel
-    options["seed"] = int(os.environ.get("CIQN_SEED", "0"))
+    try:
+        options["seed"] = _integer(os.environ.get("CIQN_SEED", "0"))
+    except ValueError as err:
+        raise SystemExit("ciqn: CIQN_SEED: %s" % err)
     if args.command == "sweep":
         options["accelerator"] = accel
     try:
@@ -175,7 +178,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "sweep":
         spec, _ = _make_spec(args, "ciqn")
-        cells = run_sweep(spec)
+        try:
+            cells = run_sweep(spec)
+        except OSError as err:
+            # the sweep's only file is its CSV, opened before any cell
+            raise SystemExit("ciqn: cannot write %s: %s"
+                             % (spec.out, err.strerror or err))
         sys.stdout.write(render_table(cells))
         if spec.out:
             sys.stdout.write("wrote %s\n" % spec.out)

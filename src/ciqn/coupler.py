@@ -35,20 +35,20 @@ iterate (the layout and communicator travel with ``r``), and
 many secant columns the filter dropped during it.  Picard and Aitken
 drop none; ciqn pushes a converged step's columns into its history.
 
-Each coupling iteration makes one reduction for all of its scalars.
-``inner_products(r)`` names, as (a, b) pairs of interface vectors, the
-inner products the accelerator needs for the current residual: Aitken
-names (delta, delta) and (r_prev, delta) once it has an r_prev, Picard
-and ciqn none.  The coupler sums them with r . r in one
-:func:`ciqn.field.dots` call, takes the norm, finiteness and convergence
-tests from the first sum, and hands the others to ``propose`` in order.
-On the iteration that converges, Aitken's products are local work spent
-for nothing.
+The whole loop of a time step is :meth:`Coupler.run_time_step`: evaluate
+H(x), form r, make one reduction, test, update.  That one reduction
+carries all of the iteration's scalars.  ``inner_products(r)`` names, as
+(a, b) pairs of interface vectors, the inner products the accelerator
+needs for the current residual: Aitken names (delta, delta) and
+(r_prev, delta) once it has an r_prev, Picard and ciqn none.
+``run_time_step`` sums them with r . r in one :func:`ciqn.field.dots`
+call, takes the norm, finiteness and convergence tests from the first
+sum, and hands the others to ``propose`` in order.  On the iteration
+that converges, Aitken's products are local work spent for nothing.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
@@ -65,10 +65,6 @@ from .runtime import RankComm, run_spmd
 RESIDUAL_FLOOR = 1e-30
 
 ACCELERATORS = ("ciqn", "aitken", "picard")
-
-
-class StepDivergedError(RuntimeError):
-    """Residual became non-finite; the time step cannot continue."""
 
 
 class RankDisagreementError(RuntimeError):
@@ -280,94 +276,44 @@ def make_accelerator(name: str, config: CouplerConfig):
 
 
 class Coupler:
-    """Drives the per-step fixed-point iteration for one rank."""
+    """Runs the coupling loop of one time step at a time on one rank."""
 
     def __init__(self, comm: RankComm, layout: PartitionLayout,
                  config: CouplerConfig, accelerator=None):
         self.comm = comm
-        self.layout = layout
         self.config = config
         self.accelerator = accelerator or CiqnAccelerator(config)
         self.x = field.zeros(layout, comm)
         self.time_index = 0
-        self.iterations = 0
-        self.converged = False
-        self.r_norm = float("nan")
-        self.r0_norm: float | None = None
-        self._residual_norms: list[float] = []
-
-    def begin_time_step(self, x_initial: InterfaceVector | None = None) -> None:
-        """Reset per-step state; the converged previous state carries over."""
-        if x_initial is not None:
-            self.x = x_initial.copy()
-        self.accelerator.start_step()
-        self.iterations = 0
-        self.converged = False
-        self.r_norm = float("nan")
-        self.r0_norm = None
-        self._residual_norms = []
-
-    def check_convergence(self) -> bool:
-        if self.r0_norm is None:
-            return False
-        return self.r_norm <= self.config.tol * max(self.r0_norm,
-                                                    RESIDUAL_FLOOR)
-
-    def advance(self, x_tilde: InterfaceVector) -> InterfaceVector:
-        """Feed one operator output; returns the next iterate.
-
-        Counts one iteration, updates the residual, and either declares
-        convergence (next iterate is x_tilde itself) or asks the
-        accelerator for the next iterate.  The residual norm and the
-        accelerator's inner products share one reduction.  Non-finite
-        residual raises StepDivergedError on every rank alike.
-        """
-        r = field.axpy(-1.0, self.x, x_tilde)
-        rr, *sums = field.dots([(r, r)] + self.accelerator.inner_products(r))
-        rn = float(np.sqrt(rr))
-        self.iterations += 1
-        self._residual_norms.append(rn)
-        if not np.isfinite(rn):
-            raise StepDivergedError(
-                "non-finite residual at step %d iteration %d"
-                % (self.time_index, self.iterations))
-        if self.r0_norm is None:
-            self.r0_norm = rn
-        self.r_norm = rn
-        if self.check_convergence():
-            self.converged = True
-            self.x = x_tilde.copy()
-            return self.x
-        self.x = self.accelerator.propose(self.x, x_tilde, r, sums)
-        return self.x
 
     def run_time_step(self, problem) -> IterationRecord:
-        """Evaluate/advance until convergence or the iteration cap."""
-        self.begin_time_step()
-        while self.iterations < self.config.max_iters:
+        """Evaluate and update until convergence, divergence or the cap.
+
+        Each iteration evaluates H(x), makes one reduction for ||r|| and
+        the accelerator's inner products, and either converges (x takes
+        H(x) itself) or asks the accelerator for the next iterate.  A
+        non-finite norm ends the step unconverged on every rank alike,
+        with x left at the last finite iterate.
+        """
+        accel, cfg = self.accelerator, self.config
+        accel.start_step()
+        norms, converged = [], False
+        while len(norms) < cfg.max_iters:
             x_tilde = problem.evaluate(self.x, self.time_index)
-            try:
-                self.advance(x_tilde)
-            except StepDivergedError:
+            r = field.axpy(-1.0, self.x, x_tilde)
+            rr, *sums = field.dots([(r, r)] + accel.inner_products(r))
+            norms.append(float(np.sqrt(rr)))
+            if not np.isfinite(norms[-1]):
                 break
-            if self.converged:
+            if norms[-1] <= cfg.tol * max(norms[0], RESIDUAL_FLOOR):
+                converged = True
+                self.x = x_tilde.copy()
                 break
-        dropped = self.accelerator.finish_step(self.converged)
-        record = IterationRecord(self.time_index, self.iterations,
-                                 self.converged, dropped,
-                                 list(self._residual_norms))
+            self.x = accel.propose(self.x, x_tilde, r, sums)
+        record = IterationRecord(self.time_index, len(norms), converged,
+                                 accel.finish_step(converged), norms)
         self.time_index += 1
         return record
-
-    def run(self, problem, n_steps: int) -> list[IterationRecord]:
-        """Run consecutive steps; stops after the first failed step."""
-        records = []
-        for _ in range(n_steps):
-            rec = self.run_time_step(problem)
-            records.append(rec)
-            if not rec.converged:
-                break
-        return records
 
 
 @dataclass
@@ -375,8 +321,6 @@ class SimulationResult:
     records: list[IterationRecord]
     solution: np.ndarray
     diverged: bool
-    accelerator: str
-    wall_time: float
 
 
 def solve_coupled(problem, config: CouplerConfig, n_steps: int,
@@ -392,12 +336,15 @@ def solve_coupled(problem, config: CouplerConfig, n_steps: int,
     if counts is None:
         counts = split_evenly(problem.dimension, nranks)
     layout = PartitionLayout.from_counts(counts)
-    started = time.perf_counter()
 
     def body(comm: RankComm):
         coupler = Coupler(comm, layout, config,
                           make_accelerator(accelerator, config))
-        records = coupler.run(problem, n_steps)
+        records = []
+        for _ in range(n_steps):
+            records.append(coupler.run_time_step(problem))
+            if not records[-1].converged:
+                break  # a failed step ends the run
         return records, field.gather(coupler.x)
 
     outputs = run_spmd(len(counts), body)
@@ -410,5 +357,4 @@ def solve_coupled(problem, config: CouplerConfig, n_steps: int,
                 "rank %d disagrees with rank 0 on the records or the "
                 "solution" % rank)
     diverged = bool(records) and not records[-1].converged
-    return SimulationResult(records, solution, diverged, accelerator,
-                            time.perf_counter() - started)
+    return SimulationResult(records, solution, diverged)

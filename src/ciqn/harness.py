@@ -79,7 +79,6 @@ class CellStats:
     sd: float | None
     diverged: bool
     restarts: int
-    steps_run: int
 
 
 def _population_stats(values) -> tuple[float, float]:
@@ -103,8 +102,7 @@ def run_cell(spec: SweepSpec, histories: int, ranking: int,
     else:
         mean, sd = _population_stats(iterations)
     return CellStats(histories, ranking, epsilon, mean, sd, result.diverged,
-                     sum(r.restarts for r in result.records),
-                     len(result.records))
+                     sum(r.restarts for r in result.records))
 
 
 def csv_row(cell: CellStats) -> str:

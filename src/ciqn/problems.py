@@ -245,21 +245,27 @@ def make_problem(name: str, relax_on: str = "displacement", seed: int = 0,
     """Build a model problem by short name (one of PROBLEMS)."""
     if relax_on not in RELAX_ON:
         raise ValueError("relax_on must be 'displacement' or 'force'")
-    if name == "linear":
-        return LinearFixedPoint.random_contraction(
-            dim=int(params.pop("dim", 8)),
-            spectral_radius=float(params.pop("spectral_radius", 0.5)),
-            seed=seed)
     if name == "piston":
+        # AddedMassPiston itself refuses an unknown keyword
         return AddedMassPiston(
             dim=int(params.pop("dim", 64)),
             mass_ratio=float(params.pop("mass_ratio", 5.0)),
             relax_on=relax_on, **params)
-    if name == "two":
+    if name == "linear":
+        problem = LinearFixedPoint.random_contraction(
+            dim=int(params.pop("dim", 8)),
+            spectral_radius=float(params.pop("spectral_radius", 0.5)),
+            seed=seed)
+    elif name == "two":
         half = int(params.pop("dim", 12)) // 2
-        return TwoInterfaceBlock.make(
+        problem = TwoInterfaceBlock.make(
             size_a=half, size_b=half,
             contraction=float(params.pop("contraction", 0.6)),
             cross_coupling=float(params.pop("cross_coupling", 0.2)),
             seed=seed)
-    raise ValueError("unknown problem %r" % name)
+    else:
+        raise ValueError("unknown problem %r" % name)
+    if params:
+        raise ValueError("unknown %s parameters: %s"
+                         % (name, ", ".join(sorted(params))))
+    return problem

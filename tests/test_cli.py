@@ -143,6 +143,31 @@ def test_seed_comes_from_environment(monkeypatch, tmp_path):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
+def test_non_integer_seed_exits_before_any_cell(monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "solve_coupled", no_cells)
+    monkeypatch.setenv("CIQN_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--steps", "1"])
+    assert str(exc.value) \
+        == "ciqn: CIQN_SEED: expected an integer, got 'abc'"
+
+
+def test_unwritable_out_path_exits_with_a_message(tmp_path, monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "solve_coupled", no_cells)
+    monkeypatch.delenv("CIQN_SEED", raising=False)
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--steps", "1", "--out", str(path)])
+    assert str(exc.value) \
+        == "ciqn: cannot write %s: No such file or directory" % path
+
+
 def test_sweep_writes_csv_and_table(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CIQN_SEED", raising=False)
     out = tmp_path / "grid.csv"

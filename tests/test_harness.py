@@ -30,7 +30,6 @@ def test_single_cell_linear():
     assert not cell.diverged
     assert cell.mean <= 6.0
     assert cell.sd >= 0.0
-    assert cell.steps_run == 50
 
 
 @pytest.mark.parametrize("bad", [
@@ -56,9 +55,9 @@ def test_sweep_spec_rejects_bad_values_before_any_cell(bad, monkeypatch):
 
 
 def test_csv_row_formats():
-    cell = CellStats(2, 5, 1e-9, 3.5, 0.25, False, 1, 50)
+    cell = CellStats(2, 5, 1e-9, 3.5, 0.25, False, 1)
     assert csv_row(cell) == "2,5,1e-09,3.500000,0.250000,False,1"
-    failed = CellStats(0, 5, 0.0, None, None, True, 0, 3)
+    failed = CellStats(0, 5, 0.0, None, None, True, 0)
     assert csv_row(failed) == "0,5,0,,,True,0"
 
 
@@ -90,10 +89,10 @@ def test_sub_grid_matches_full_grid():
 
 def test_render_table_layout():
     cells = [
-        CellStats(0, 5, 0.0, 11.0, 0.0, False, 0, 5),
-        CellStats(0, 5, 1e-3, None, None, True, 0, 1),
-        CellStats(1, 5, 0.0, 4.25, 0.5, False, 0, 5),
-        CellStats(1, 5, 1e-3, 4.0, 0.0, False, 2, 5),
+        CellStats(0, 5, 0.0, 11.0, 0.0, False, 0),
+        CellStats(0, 5, 1e-3, None, None, True, 0),
+        CellStats(1, 5, 0.0, 4.25, 0.5, False, 0),
+        CellStats(1, 5, 1e-3, 4.0, 0.0, False, 2),
     ]
     table = render_table(cells)
     lines = table.splitlines()
@@ -135,6 +134,6 @@ def test_compare_rejects_accelerators_before_any_cell(names, monkeypatch):
 
 def test_speedup_none_when_everything_diverged():
     report = harness.ComparisonReport(("a", "b"))
-    report.cells["a"] = [CellStats(0, 5, 0.0, None, None, True, 0, 1)]
-    report.cells["b"] = [CellStats(0, 5, 0.0, 3.0, 0.0, False, 0, 5)]
+    report.cells["a"] = [CellStats(0, 5, 0.0, None, None, True, 0)]
+    report.cells["b"] = [CellStats(0, 5, 0.0, 3.0, 0.0, False, 0)]
     assert report.speedup("a", "b") is None

@@ -5,7 +5,10 @@ and class attributes with timing wrappers.  A rename would make a traced
 run fail or silently stop measuring, so the names are pinned here.
 """
 
+import inspect
+
 from ciqn import cli, coupler, field, harness, qr, runtime
+from ciqn.field import PartitionLayout
 
 
 def test_coupler_exposes_the_wrapped_kernels():
@@ -27,6 +30,17 @@ def test_other_wrapped_names_exist():
                         (runtime.RankComm, "broadcast"),
                         (runtime.RankComm, "allgather")):
         assert callable(getattr(owner, name)), (owner, name)
+
+
+def test_step_wrapper_reads_what_the_coupler_has():
+    # the step timer calls ``original(coupler_self, problem)`` and times
+    # rank 0 only, by ``coupler_self.comm.rank``
+    params = inspect.signature(coupler.Coupler.run_time_step).parameters
+    assert list(params) == ["self", "problem"]
+    one = coupler.Coupler(runtime.RankComm(0, 1, None),
+                          PartitionLayout.from_counts([2]),
+                          coupler.CouplerConfig())
+    assert one.comm.rank == 0
 
 
 def test_qr_exposes_the_outcome_fields_and_errors():

@@ -197,6 +197,16 @@ def test_make_problem_forwards_parameters():
     assert two.dimension == 10 and two.cross_coupling == 0.1
 
 
+@pytest.mark.parametrize("name,params", [
+    ("linear", {"dimm": 3}), ("two", {"dimm": 4}),
+    ("linear", {"dim": 4, "mass_ratio": 2.0}),
+    ("two", {"spectral_radius": 0.3})])
+def test_make_problem_rejects_unknown_parameters(name, params):
+    unknown = sorted(set(params) - {"dim"})
+    with pytest.raises(ValueError, match=", ".join(unknown)):
+        make_problem(name, **params)
+
+
 def test_make_problem_rejects_unknown_relax_on():
     for name in ("linear", "piston", "two"):
         with pytest.raises(ValueError):
