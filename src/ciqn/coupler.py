@@ -310,6 +310,8 @@ class Coupler:
                 self.x = x_tilde.copy()
                 break
             self.x = accel.propose(self.x, x_tilde, r, sums)
+            # a dead r alive through the next evaluate fragments the heap
+            del r  # and peak RSS creeps up from solve to solve
         record = IterationRecord(self.time_index, len(norms), converged,
                                  accel.finish_step(converged), norms)
         self.time_index += 1
