@@ -41,7 +41,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float)
     parser.add_argument("--omega0", type=float)
     parser.add_argument("--max-iters", type=int, dest="max_iters")
-    parser.add_argument("--out", help="CSV output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sweep one accelerator")
     _add_common(sweep)
     sweep.add_argument("--accel", choices=ACCELERATORS)
+    sweep.add_argument("--out", help="CSV output path")
 
     compare = sub.add_parser("compare", help="compare accelerators")
     _add_common(compare)

@@ -22,10 +22,10 @@ Increment columns are ordered newest first.  Within a step at most
 reuse (``histories`` = T > 0) the column blocks of the last T converged
 steps are appended after the current step's block, and the combined
 count is capped by the interface size, which no partitioning changes.
-The history block is fixed within a step, so it is factored once per
-step, in the same Householder pass as the step's first residual, and
-each later proposal adds only the current columns to it
-(:class:`ciqn.qr.StepFactor`).
+Every column is a fixed combination of the history columns and the
+step's raw residuals, so a step keeps one factor of those
+(:class:`ciqn.qr.StepFactor`): one pass factors the history and the
+first residual, and each later proposal appends only its own residual.
 
 Every accelerator has the same four methods, and none of them sees the
 :class:`Coupler`: ``start_step()`` at the start of a time step,
@@ -209,14 +209,14 @@ class CiqnAccelerator:
     def __init__(self, config: CouplerConfig):
         self.config = config
         self.history = HistoryStore(config.histories)
-        self._log: deque = deque(maxlen=config.ranking)
-        self._block: tuple = ([], [])
+        # (r, x_tilde) of this step, newest first: the newest iterate
+        # and the ``ranking`` before it
+        self._log: deque = deque(maxlen=config.ranking + 1)
         self._factor: StepFactor | None = None
         self._dropped = 0
 
     def start_step(self) -> None:
         self._log.clear()
-        self._block = ([], [])
         self._factor = None
         self._dropped = 0
 
@@ -225,23 +225,18 @@ class CiqnAccelerator:
 
     def propose(self, x, x_tilde, r, sums) -> InterfaceVector:
         cfg = self.config
-        v_cols = [field.axpy(-1.0, r, past_r) for past_r, _ in self._log]
-        w_cols = [field.axpy(-1.0, x_tilde, past_xt)
-                  for _, past_xt in self._log]
-        self._log.appendleft((r.copy(), x_tilde.copy()))
-        self._block = (v_cols, w_cols)
-
         cap = r.layout.global_size
         if self._factor is None:
-            # the history block is fixed for the step: factor it once
-            self._factor = StepFactor(self.history.v_columns()[:cap])
-        current = v_cols[:cap]
-        k_h = min(self._factor.columns, cap - len(current))
-        if not current and not k_h:
-            return field.axpy(cfg.omega0, r, x_tilde)
-        all_w = w_cols[:len(current)] + self.history.w_columns()[:k_h]
+            self._factor = StepFactor(self.history.v_columns()[:cap], r)
+        else:
+            self._factor.append(r)
+        self._log.appendleft((r, x_tilde))
+        # columns r_i - r and the history's, newest first, capped by the
+        # interface size
+        current = min(len(self._log) - 1, cap)
+        k_h = min(self._factor.history, cap - current)
         try:
-            stack, outcome, head = self._factor.factor(current, r, k_h,
+            stack, outcome, head = self._factor.factor(current, k_h,
                                                        cfg.epsilon)
         except EmptySecantSpaceError as err:
             self._dropped += len(err.dropped)
@@ -255,13 +250,19 @@ class CiqnAccelerator:
             # plain relaxed step instead of solving garbage
             return field.axpy(cfg.omega0, r, x_tilde)
         local = x_tilde.local.copy()
-        for coef, w in zip(lam, (all_w[i] for i in outcome.kept)):
-            local += coef * w.local
+        history_w = self.history.w_columns()
+        for coef, i in zip(lam, outcome.kept):
+            if i < current:
+                local += coef * (self._log[i + 1][1].local - x_tilde.local)
+            else:
+                local += coef * history_w[i - current].local
         return InterfaceVector(r.layout, r.comm, local)
 
     def finish_step(self, converged: bool) -> int:
-        if converged and self._block[0]:
-            self.history.push(*self._block)
+        if converged and len(self._log) > 1:
+            (r, x_tilde), *past = self._log
+            self.history.push([field.axpy(-1.0, r, v) for v, _ in past],
+                              [field.axpy(-1.0, x_tilde, w) for _, w in past])
         return self._dropped
 
 

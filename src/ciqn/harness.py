@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field, replace
 
 from .coupler import ACCELERATORS, CouplerConfig, solve_coupled
-from .problems import PROBLEMS, RELAX_ON, make_problem
+from .problems import check_problem, make_problem
 
 CSV_HEADER = "histories,ranking,epsilon,mean,sd,diverged,restarts"
 
@@ -51,11 +51,10 @@ class SweepSpec:
         for name in ("histories", "ranking", "epsilon"):
             if not getattr(self, name):
                 raise ValueError("%s must be a non-empty list" % name)
-        for name, allowed in (("accelerator", ACCELERATORS),
-                              ("problem", PROBLEMS), ("relax_on", RELAX_ON)):
-            if getattr(self, name) not in allowed:
-                raise ValueError("%s must be one of %s"
-                                 % (name, ", ".join(allowed)))
+        if self.accelerator not in ACCELERATORS:
+            raise ValueError("accelerator must be one of %s"
+                             % ", ".join(ACCELERATORS))
+        check_problem(self.problem, self.relax_on, dict(self.problem_params))
         for cell in itertools.product(self.histories, self.ranking,
                                       self.epsilon):
             self.config(*cell)
@@ -215,12 +214,14 @@ class ComparisonReport:
 
 def compare_accelerators(spec: SweepSpec,
                          accelerators=("ciqn", "aitken")) -> ComparisonReport:
-    """Run the same sweep grid once per accelerator.  An empty list or an
-    unknown name raises ValueError before the first sweep starts."""
+    """Run the same sweep grid once per accelerator.  An empty list, an
+    unknown name or an ``out`` path (a comparison writes no CSV) raises
+    ValueError before the first sweep starts."""
     if not accelerators:
         raise ValueError("no accelerator to compare")
-    specs = [replace(spec, accelerator=name, out=None)
-             for name in accelerators]
+    if spec.out:
+        raise ValueError("compare writes no CSV; out is a sweep option")
+    specs = [replace(spec, accelerator=name) for name in accelerators]
     report = ComparisonReport(tuple(accelerators))
     for name, one in zip(accelerators, specs):
         started = time.perf_counter()

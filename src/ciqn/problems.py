@@ -27,6 +27,14 @@ from .field import InterfaceVector
 
 PROBLEMS = ("linear", "piston", "two")
 RELAX_ON = ("displacement", "force")
+# what ``make_problem`` takes for each problem besides relax_on and seed
+PARAMETERS = {
+    "linear": ("dim", "spectral_radius"),
+    "piston": ("dim", "mass_ratio", "stiffness", "time_step",
+               "neighbor_coupling", "forcing_offset", "forcing_amplitude",
+               "forcing_frequency"),
+    "two": ("dim", "contraction", "cross_coupling"),
+}
 
 
 def _finite_or_raise(full: np.ndarray) -> None:
@@ -240,32 +248,34 @@ class TwoInterfaceBlock(LinearFixedPoint):
         return float(np.linalg.norm(r[rows_a])), float(np.linalg.norm(r[rows_b]))
 
 
+def check_problem(name: str, relax_on: str, params) -> None:
+    """ValueError unless ``make_problem`` takes these; builds nothing."""
+    if name not in PROBLEMS:
+        raise ValueError("unknown problem %r" % name)
+    if relax_on not in RELAX_ON:
+        raise ValueError("relax_on must be 'displacement' or 'force'")
+    unknown = set(params) - set(PARAMETERS[name])
+    if unknown:
+        raise ValueError("unknown %s parameters: %s"
+                         % (name, ", ".join(sorted(unknown))))
+
+
 def make_problem(name: str, relax_on: str = "displacement", seed: int = 0,
                  **params):
     """Build a model problem by short name (one of PROBLEMS)."""
-    if relax_on not in RELAX_ON:
-        raise ValueError("relax_on must be 'displacement' or 'force'")
+    check_problem(name, relax_on, params)
     if name == "piston":
-        # AddedMassPiston itself refuses an unknown keyword
         return AddedMassPiston(
             dim=int(params.pop("dim", 64)),
             mass_ratio=float(params.pop("mass_ratio", 5.0)),
             relax_on=relax_on, **params)
     if name == "linear":
-        problem = LinearFixedPoint.random_contraction(
+        return LinearFixedPoint.random_contraction(
             dim=int(params.pop("dim", 8)),
             spectral_radius=float(params.pop("spectral_radius", 0.5)),
             seed=seed)
-    elif name == "two":
-        half = int(params.pop("dim", 12)) // 2
-        problem = TwoInterfaceBlock.make(
-            size_a=half, size_b=half,
-            contraction=float(params.pop("contraction", 0.6)),
-            cross_coupling=float(params.pop("cross_coupling", 0.2)),
-            seed=seed)
-    else:
-        raise ValueError("unknown problem %r" % name)
-    if params:
-        raise ValueError("unknown %s parameters: %s"
-                         % (name, ", ".join(sorted(params))))
-    return problem
+    half = int(params.pop("dim", 12)) // 2
+    return TwoInterfaceBlock.make(
+        size_a=half, size_b=half,
+        contraction=float(params.pop("contraction", 0.6)),
+        cross_coupling=float(params.pop("cross_coupling", 0.2)), seed=seed)

@@ -21,14 +21,13 @@ locally, and the scan goes on at j.  With epsilon = 0 an exactly
 dependent column surfaces later as a "singular U" error from the
 triangular solve.
 
-``decompose``, ``apply_qt`` and ``reconstruct`` are the one-shot
-kernels.  The coupler's ``StepFactor`` factors a step's history block H
-in the Householder pass of the step's first proposal, which carries r;
-each later proposal projects through H's reflectors in compact WY form
-(Schreiber and Van Loan 1989), factors the rows of Q_H^T [C r] below
-H's triangle for the current columns C, then filters the small block
-[[A, R_H], [R_B, 0]] locally: block column insertion at the front
-(Hammarling and Lucas, MIMS EPrint 2008.111).
+The coupler's ``StepFactor`` factors one time step's F = [H, r_0, ...,
+r_k], its history columns and then its raw residuals, and appends one
+column per proposal with two reductions (Daniel, Gragg, Kaufman and
+Stewart, Math. Comp. 30, 1976).  Every secant column r_{k-i} - r_k and
+every history column is a fixed combination of F's columns, so their
+triangle comes from R_F on the replicated data, with no communication.
+``decompose``, ``apply_qt`` and ``reconstruct`` are one-shot kernels.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ class HouseholderStack:
 
     reflectors[j] zeroes its column below global row j; each has unit
     norm or is zero (the identity).  ``upper`` is q-by-q, identical on
-    all ranks; ``rotation`` (after a filter drop) is the first q rows of
-    the local orthogonal factor applied after the reflectors.
+    all ranks; ``rotation`` (unless the reflectors' triangle is U itself)
+    is the first q rows of the local orthogonal factor applied after them.
     """
 
     reflectors: list[InterfaceVector]
@@ -94,40 +93,42 @@ def _rows_before(layout: PartitionLayout, rank: int, n: int) -> int:
 
 def _head_share(layout: PartitionLayout, rank: int, local: np.ndarray,
                 n: int) -> np.ndarray:
-    """This rank's entries among global rows 0..n-1, in a length-n vector.
+    """This rank's entries among global rows 0..n-1 of ``local`` (a slice,
+    or rows of slices), in a last axis of length n.
 
     The other entries are -0.0, the exact additive identity, so an
     allreduce of the shares returns every row's value bit for bit (the
     sign of a zero included) from whichever rank owns it.
     """
     start, rows = layout.starts[rank], _rows_before(layout, rank, n)
-    share = np.full(n, -0.0)
-    share[start:start + rows] = local[:rows]
+    share = np.full(local.shape[:-1] + (n,), -0.0)
+    share[..., start:start + rows] = local[..., :rows]
     return share
 
 
 def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
-                           col: np.ndarray, pivot: int):
+                           col: np.ndarray, pivot: int, extra=()):
     """Build the reflector zeroing ``col`` below global row ``pivot``.
 
     Rows before the pivot are treated as zero: they hold already-computed
-    triangle entries and must not move again.  Returns (u_local, alpha,
-    is_identity, above), where ``above`` holds those rows' replicated
-    values; costs one reduction.
+    triangle entries and must not move again.  Costs one reduction, which
+    also sums ``extra``.  Returns (u_local, alpha, nrm, head, extra
+    summed): u = (col from the pivot down - alpha e_pivot) / nrm, with
+    nrm = 0 for the identity, and ``head`` holds rows 0..pivot of col,
+    replicated.
     """
     start = layout.starts[comm.rank]
     before = _rows_before(layout, comm.rank, pivot)
     tail = col[before:]
     reduced = comm.allreduce_sum_array(np.concatenate(
-        ([tail @ tail], _head_share(layout, comm.rank, col, pivot + 1))))
-    sigma = sqrt(reduced[0])
-    above, pivot_value = reduced[1:pivot + 1], float(reduced[pivot + 1])
-    zero_u = np.zeros_like(col)
-    if sigma == 0.0:
-        return zero_u, 0.0, True, above
-    if pivot_value == sigma:
-        # column already has the right shape; keep the positive pivot
-        return zero_u, sigma, True, above
+        ([tail @ tail], _head_share(layout, comm.rank, col, pivot + 1),
+         extra)))
+    sigma, head = sqrt(reduced[0]), reduced[1:pivot + 2]
+    pivot_value, extra = float(head[-1]), reduced[pivot + 2:]
+    if sigma == 0.0 or pivot_value == sigma:
+        # a zero column, or one that already has the right shape (keep
+        # its positive pivot)
+        return np.zeros_like(col), sigma, 0.0, head, extra
     alpha = -copysign(sigma, pivot_value)
     # ||col - alpha*e_pivot|| via replicated scalars; the sign choice
     # makes pivot_value - alpha an addition, never a cancellation
@@ -136,44 +137,40 @@ def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
     u[:before] = 0.0
     if start <= pivot < start + len(col):
         u[pivot - start] = (pivot_value - alpha) / nrm
-    return u, alpha, False, above
+    return u, alpha, nrm, head, extra
 
 
 def _reflect(comm: RankComm, reflectors, identity_flags,
-             t: np.ndarray) -> None:
-    """Apply reflectors to local slice ``t`` in the given order, in place.
-
-    Identity reflectors are skipped; every other one costs one reduction.
-    """
+             block: np.ndarray) -> None:
+    """Apply reflectors, in the given order, to the rows (local slices) of
+    ``block`` in place.  Identity reflectors are skipped; every other one
+    costs one reduction for all the rows."""
     for u, identity in zip(reflectors, identity_flags):
-        if identity:
-            continue
-        coef = comm.allreduce_sum(float(u.local @ t))
-        t -= 2.0 * coef * u.local
+        if not identity:
+            coefs = comm.allreduce_sum_array(block @ u.local)
+            block -= 2.0 * np.outer(coefs, u.local)
 
 
 def _householder(layout: PartitionLayout, comm: RankComm, work: np.ndarray,
-                 ncols: int, offset: int):
+                 ncols: int):
     """Factor the first ``ncols`` rows (local column slices) of ``work``
-    in place, pivoting at global rows ``offset + j``; later rows are
-    carried along.  Returns the replicated entries on and above the
-    pivots and the identity flags.  One reduction per column, plus one
-    per reflector that has later rows to update."""
-    tri = np.zeros((offset + ncols, ncols))
+    in place, pivoting at global rows 0..ncols-1; later rows are carried
+    along.  Returns the replicated triangle and the identity flags.  One
+    reduction per column, plus one per reflector that has later rows to
+    update."""
+    tri = np.zeros((ncols, ncols))
     flags: list[bool] = []
     rows = list(work)  # views: updates land in ``work``
     for j, col in enumerate(rows[:ncols]):
-        u, alpha, identity, above = _reflector_from_column(
-            layout, comm, col, offset + j)
-        tri[:offset + j, j] = above
-        tri[offset + j, j] = alpha
+        u, alpha, nrm, head, _ = _reflector_from_column(layout, comm, col, j)
+        tri[:j, j], tri[j, j] = head[:-1], alpha
         col[:] = u
         later = rows[j + 1:]
-        if not identity and later:
+        if nrm and later:
             coefs = comm.allreduce_sum_array(np.array([u @ w for w in later]))
             for coef, w in zip(coefs, later):
                 w -= 2.0 * coef * u
-        flags.append(identity)
+        flags.append(not nrm)
     return tri, flags
 
 
@@ -226,7 +223,7 @@ def decompose(columns: list[InterfaceVector], epsilon: float):
         raise ValueError("%d columns exceed the %d interface rows"
                          % (len(columns), layout.global_size))
     work = np.array([c.local for c in columns])
-    tri, flags = _householder(layout, comm, work, len(columns), 0)
+    tri, flags = _householder(layout, comm, work, len(columns))
     upper, rotation, outcome = _triangularize(tri, epsilon, True)
     stack = HouseholderStack([InterfaceVector(layout, comm, u) for u in work],
                              upper, flags, rotation)
@@ -240,81 +237,132 @@ def apply_qt(stack: HouseholderStack, r: InterfaceVector) -> np.ndarray:
     first); the rows they pivot on are then combined from their owners
     with one more reduction, and turned by ``rotation`` if there is one.
     """
-    t = r.local.copy()
+    t = r.local[None, :].copy()
     _reflect(r.comm, stack.reflectors, stack.identity_flags, t)
     head = r.comm.allreduce_sum_array(
-        _head_share(r.layout, r.comm.rank, t, len(stack.reflectors)))
+        _head_share(r.layout, r.comm.rank, t[0], len(stack.reflectors)))
     return head if stack.rotation is None else stack.rotation @ head
 
 
 class StepFactor:
-    """One step's factor of its history columns, which stay fixed for
-    the step.  The first ``factor`` call Householder-factors the leading
-    k_h of them in the same pass as its own columns and r; later calls
-    project through those reflectors.  The leading k_h reflectors and
-    triangle block factor the leading k_h columns (truncation is free),
-    so k_h may shrink within a step but not grow."""
+    """The Householder factor of one time step's F = [H, r_0, ..., r_k]:
+    its history columns, then its raw residuals, oldest first.
 
-    def __init__(self, history: list[InterfaceVector]):
-        self.columns = len(history)
-        self._unfactored = history
-        self._history = HouseholderStack([], np.zeros((0, 0)))
-        self._y = np.zeros((0, 0))  # the history reflectors, as rows
-        self._wy_t: np.ndarray | None = None
+    The step's first residual comes with its history, and one Householder
+    pass factors both; ``append`` adds each later residual as one more
+    column, and ``factor`` solves for any choice of secant columns on
+    the replicated triangle R_F = Q_F^T F, with no communication.  The
+    reflectors are kept in compact WY form, Q_F = I - Y T Y^T (Schreiber
+    and Van Loan 1989); T and the head of Y, its entries on the pivot
+    rows, are replicated.  Once F has a column per interface row, a new
+    column gets no reflector, and its R_F column is its whole projection.
+    """
 
-    def _project(self, comm: RankComm, k_h: int, work: np.ndarray) -> None:
-        """Apply Q_H^T of the first k_h reflectors to the rows of ``work``
-        with one reduction, in compact WY form Q_H = I - Y T Y^T.  T is
-        built on first use, from a Gram matrix that rides on that
-        reduction, so single-proposal steps skip it."""
-        y = self._y
-        cross = y[:k_h] @ work.T
-        if self._wy_t is None:
-            k = len(y)
-            reduced = comm.allreduce_sum_array(
-                np.concatenate(((y @ y.T).ravel(), cross.ravel())))
-            cross = reduced[k * k:].reshape(cross.shape)
+    def __init__(self, history: list[InterfaceVector], r: InterfaceVector):
+        layout, comm, k = r.layout, r.comm, len(history)
+        if k > layout.global_size:
+            raise ValueError("%d columns exceed the %d interface rows"
+                             % (k, layout.global_size))
+        self.layout, self.comm, self.history = layout, comm, k
+        # one pass factors [H, r_0]; if H fills the interface, r_0 has no
+        # pivot row left and its column is its whole projection
+        work = np.array([col.local for col in history] + [r.local])
+        ncols = min(k + 1, layout.global_size)
+        self._upper, self._flags = _householder(layout, comm, work, ncols)
+        if ncols == k:
+            self._upper = np.column_stack([
+                self._upper, comm.allreduce_sum_array(
+                    _head_share(layout, comm.rank, work[k], k))])
+        self._y = [work[:ncols]]  # reflector rows, then one per append
+        self._reflectors = [InterfaceVector(layout, comm, u)
+                            for u in self._y[0]]
+        # T and the head of Y ride on the first append's reduction, so a
+        # step that makes a single proposal never builds them
+        self._t = self._y_head = None
+
+    def _over_y(self, each) -> np.ndarray:
+        """``each`` of every block of reflector rows, concatenated."""
+        return np.concatenate([each(y) for y in self._y])
+
+    def append(self, r: InterfaceVector) -> None:
+        """Make r, the step's newest residual, F's last column.  Two
+        reductions: one projects r through Y, one builds the reflector
+        and carries Y's products with it, for T's new column.  Once F has
+        a column per interface row, one: r's rows ride with Y r, and the
+        head of Y projects them."""
+        layout, comm, n = self.layout, self.comm, len(self._flags)
+        full = n == layout.global_size
+        parts = [self._over_y(lambda y: y @ r.local)]
+        if full:
+            parts.append(_head_share(layout, comm.rank, r.local, n))
+        if self._t is None:
+            # one block so far: its Gram matrix and head rows, for T
+            parts += [(self._y[0] @ self._y[0].T).ravel(),
+                      _head_share(layout, comm.rank, self._y[0], n).ravel()]
+        reduced = comm.allreduce_sum_array(np.concatenate(parts))
+        if self._t is None:
+            gram, head = reduced[-2 * n * n:].reshape(2, n, n)
             # T^-1 = I/2 + strict upper part of Y^T Y (Joffrain et al.,
             # ACM TOMS 32, 2006); zero reflectors take part harmlessly
-            self._wy_t = scipy.linalg.solve_triangular(
-                np.triu(reduced[:k * k].reshape(k, k), 1) + 0.5 * np.eye(k),
-                np.eye(k))
-        else:
-            cross = comm.allreduce_sum_array(cross)
-        work -= (self._wy_t[:k_h, :k_h].T @ cross).T @ y[:k_h]
+            self._t = scipy.linalg.solve_triangular(
+                np.triu(gram, 1) + 0.5 * np.eye(n), np.eye(n))
+            self._y_head = head
+        coefs = self._t.T @ reduced[:n]
+        if full:
+            self._upper = np.column_stack(
+                [self._upper, reduced[n:2 * n] - self._y_head.T @ coefs])
+            return
+        col, done = r.local.copy(), 0
+        for y in self._y:
+            col -= coefs[done:done + len(y)] @ y
+            done += len(y)
+        before = _rows_before(layout, comm.rank, n)
+        u, alpha, nrm, head, extra = _reflector_from_column(
+            layout, comm, col, n, np.concatenate((
+                self._over_y(lambda y: y[:, before:] @ col[before:]),
+                self._over_y(lambda y: _head_share(
+                    layout, comm.rank, y, n + 1)[:, n]))))
+        # Y u, from Y times col from the pivot down and Y's pivot row
+        y_row = extra[n:]
+        y_u = (extra[:n] - alpha * y_row) / nrm if nrm else np.zeros(n)
+        # (I - Y T Y^T)(I - 2 u u^T)
+        #     = I - [Y u] [[T, -2 T Y u], [0, 2]] [Y u]^T
+        self._t = _bordered(self._t, -2.0 * (self._t @ y_u), 2.0)
+        self._y_head = _bordered(self._y_head, y_row,
+                                 (head[-1] - alpha) / nrm if nrm else 0.0)
+        self._upper = _bordered(self._upper, head[:-1], alpha)
+        col[:] = u
+        self._y.append(col[None, :])
+        self._reflectors.append(InterfaceVector(layout, comm, col))
+        self._flags.append(not nrm)
 
-    def factor(self, columns: list[InterfaceVector], r: InterfaceVector,
-               k_h: int, epsilon: float):
-        """Factor [columns, first k_h history columns] and return (stack,
-        outcome, first q rows of Q^T r).  The step's first call makes one
-        Householder pass over [history; columns; r]: k_h + c + 1
-        reductions plus one per live reflector.  Every later call costs
-        2c + 2 (2c + 1 if k_h = 0), whatever k_h and the filter do."""
-        layout, comm, c = r.layout, r.comm, len(columns)
-        fresh, self._unfactored = self._unfactored[:k_h], []
-        if k_h > len(fresh) + self._history.q:
-            raise ValueError("k_h exceeds the step's factored history")
-        work = np.array([col.local for col in fresh + columns + [r]])
-        if k_h and not fresh:
-            self._project(comm, k_h, work)
-        tri, flags = _householder(layout, comm, work, len(fresh) + c,
-                                  k_h - len(fresh))
-        reflectors = [InterfaceVector(layout, comm, u) for u in work[:-1]]
-        if fresh:
-            self._y = work[:k_h]
-            self._history = HouseholderStack(reflectors[:k_h],
-                                             tri[:k_h, :k_h], flags[:k_h])
-        m = np.zeros((k_h + c, c + k_h))
-        m[:, :c] = tri[:, len(fresh):]
-        m[:k_h, c:] = self._history.upper[:k_h, :k_h]
-        pre = comm.allreduce_sum_array(
-            _head_share(layout, comm.rank, work[-1], k_h + c))
-        upper, rotation, outcome = _triangularize(m, epsilon, not (c and k_h))
-        head = pre[:len(upper)] if rotation is None else rotation @ pre
-        stack = HouseholderStack(
-            self._history.reflectors[:k_h] + reflectors[len(fresh):], upper,
-            self._history.identity_flags[:k_h] + flags[len(fresh):], rotation)
-        return stack, outcome, head
+    def factor(self, current: int, k_h: int, epsilon: float):
+        """Solve for the secant columns r_{k-i} - r_k, i = 1..current,
+        then the first k_h history columns, against r_k, F's last column.
+        Local: triangularize R_F E under the filter, where E picks those
+        columns of F.  Returns (stack, outcome, first q rows of the
+        rotated R_F column of r_k)."""
+        upper = self._upper
+        newest = upper.shape[1] - 1
+        if not 0 <= current <= newest - self.history \
+                or not 0 <= k_h <= self.history:
+            raise ValueError("F holds %d history columns and %d residuals"
+                             % (self.history, newest - self.history + 1))
+        r_k = upper[:, newest]
+        m = np.column_stack([upper[:, newest - i] - r_k
+                             for i in range(1, current + 1)]
+                            + [upper[:, :k_h]])
+        tri, rotation, outcome = _triangularize(m, epsilon, not current)
+        head = r_k[:len(tri)] if rotation is None else rotation @ r_k
+        return (HouseholderStack(list(self._reflectors), tri,
+                                 list(self._flags), rotation), outcome, head)
+
+
+def _bordered(a: np.ndarray, column: np.ndarray, corner: float) -> np.ndarray:
+    """[[a, column], [0, corner]]: ``a`` with one more row and column."""
+    out = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    out[:-1, :-1], out[:-1, -1], out[-1, -1] = a, column, corner
+    return out
 
 
 def back_substitute(stack: HouseholderStack, rhs: np.ndarray,
@@ -347,15 +395,10 @@ def reconstruct(stack: HouseholderStack) -> list[InterfaceVector]:
     if not refl:
         return []
     layout, comm = refl[0].layout, refl[0].comm
-    out = []
-    for i in range(stack.q):
-        column = stack.upper[:, i]
-        if stack.rotation is not None:
-            column = stack.rotation.T @ column
-        full = np.zeros(layout.global_size)
-        full[:len(column)] = column
-        t = distribute(layout, comm, full)
-        _reflect(comm, reversed(refl), reversed(stack.identity_flags),
-                 t.local)
-        out.append(t)
-    return out
+    columns = stack.upper if stack.rotation is None \
+        else stack.rotation.T @ stack.upper
+    full = np.zeros((stack.q, layout.global_size))
+    full[:, :len(columns)] = columns.T
+    block = np.array([distribute(layout, comm, row).local for row in full])
+    _reflect(comm, reversed(refl), reversed(stack.identity_flags), block)
+    return [InterfaceVector(layout, comm, row) for row in block]

@@ -219,6 +219,26 @@ def test_compare_prints_summary(capsys, monkeypatch):
     assert "fewer iterations" in text
 
 
+def test_compare_has_no_out_flag(tmp_path, capsys, monkeypatch):
+    # a comparison writes no CSV, so the flag is not accepted, from the
+    # command line or from a config file
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "solve_coupled", no_cells)
+    monkeypatch.delenv("CIQN_SEED", raising=False)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": str(out)}))
+    with pytest.raises(SystemExit, match="^ciqn: compare writes no CSV"):
+        cli.main(["compare", "--config", str(config)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("accel", ["ciqn,bogus", ""])
 def test_compare_rejects_bad_accelerators_before_any_cell(accel,
                                                           monkeypatch):

@@ -44,14 +44,19 @@ def test_single_cell_linear():
     {"histories": ()},
     {"ranking": ()},
     {"epsilon": ()},
+    {"problem_params": (("dimm", 3),)},
 ])
-def test_sweep_spec_rejects_bad_values_before_any_cell(bad, monkeypatch):
+def test_sweep_spec_rejects_bad_values_before_any_cell(bad, monkeypatch,
+                                                       tmp_path):
     def no_cells(*args, **kwargs):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(harness, "solve_coupled", no_cells)
+    out = tmp_path / "grid.csv"
     with pytest.raises(ValueError):
-        run_sweep(SweepSpec(**bad))
+        run_sweep(SweepSpec(**{"steps": 1, "out": str(out), **bad}))
+    # not even the CSV header is written
+    assert not out.exists()
 
 
 def test_csv_row_formats():
@@ -120,6 +125,20 @@ def test_compare_accelerators_on_added_mass():
     assert report.speedup("aitken", "ciqn") > 1.0
     rendered = report.render()
     assert "ciqn" in rendered and "aitken" in rendered
+
+
+def test_compare_rejects_an_out_path_before_any_cell(monkeypatch,
+                                                     tmp_path):
+    # one CSV path cannot hold one sweep per accelerator
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "solve_coupled", no_cells)
+    out = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match="out"):
+        compare_accelerators(SweepSpec(**{**TINY_LINEAR.__dict__,
+                                          "out": str(out)}))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("names", [(), ("ciqn", "bogus"), ("",)])

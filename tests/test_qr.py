@@ -361,80 +361,114 @@ def dense_filter(dense, epsilon):
     return kept
 
 
-def secant_columns(rng, p):
-    """(dense, c): c current columns, then a history block that may be
-    longer than the p - c columns the interface size leaves for it.
-    Some columns copy an earlier one exactly; some are an earlier pair's
-    combination plus a perturbation of relative size 1e-6 or 1e-12."""
-    c = int(rng.integers(1, 4))
-    total = c + int(rng.integers(0, p + 2))
+def some_columns(rng, p, count, affine):
+    """``count`` columns of length p.  Some copy an earlier one exactly;
+    some are a combination of an earlier pair plus a perturbation of
+    relative size 1e-6 or 1e-12.  With ``affine`` the columns are
+    residuals: the combination's weights sum to one, so the differences
+    of the columns are the near-dependent ones, and no column copies the
+    one just before it.  (Such a copy makes the first secant column
+    zero, which the relative filter keeps, as 0 < epsilon * 0 is false;
+    the direction a factor then gives it depends on the basis it works
+    in, so later filter decisions cannot be compared.)"""
     cols = []
-    for j in range(total):
+    for j in range(count):
         kind = rng.random()
         if j >= 2 and kind < 0.15:
-            cols.append(cols[rng.integers(j)].copy())
+            cols.append(cols[rng.integers(j - affine)].copy())
         elif j >= 2 and kind < 0.3:
             a, b = rng.choice(j, 2, replace=False)
-            mix = cols[a] - 0.7 * cols[b]
+            mix = cols[a] + 0.7 * (cols[b] - cols[a]) if affine \
+                else cols[a] - 0.7 * cols[b]
             size = rng.choice([1e-6, 1e-12]) * np.linalg.norm(mix)
             cols.append(mix + size * rng.standard_normal(p) / np.sqrt(p))
         else:
             cols.append(rng.standard_normal(p) * 10.0 ** rng.uniform(-2, 2))
-    return np.column_stack(cols), c
+    return np.column_stack(cols) if cols else np.zeros((p, 0))
+
+
+def step_of_residuals(rng, p):
+    """(history, residuals, ranking) of one time step.  The history may
+    be longer than the p columns the interface size lets the coupler
+    factor; the step's residuals run until F = [H, r_0, ..., r_k] has
+    more columns than the interface has rows."""
+    history = some_columns(rng, p, int(rng.integers(0, p + 2)), False)
+    n_h = min(history.shape[1], p)
+    residuals = some_columns(rng, p, p - n_h + 2, True)
+    return history[:, :n_h], residuals, int(rng.integers(1, p + 1))
+
+
+def gather_columns(columns):
+    """The dense matrix of distributed columns, with one allgather."""
+    comm = columns[0].comm
+    pieces = comm.allgather(np.ravel([c.local for c in columns]))
+    return np.vstack([piece.reshape(len(columns), -1).T
+                      for piece in pieces])
 
 
 def test_step_factor_matches_dense_reference():
-    # kept set, |diag U|, reconstruction and lam of the two-level factor
-    # (history factored once, current columns inserted in front) against
-    # numpy on the dense columns, on partitions that put pivot rows on
-    # several ranks and behind an empty one
+    # whole steps of appends: at every proposal the kept set, |diag U|,
+    # reconstruction and lam of the coupler's choice of columns (the
+    # last ``ranking`` differences r_{k-i} - r_k, then the history cut
+    # at the interface size) against numpy on the dense columns, on
+    # partitions that put pivot rows on several ranks and behind an
+    # empty one; the one-shot ``decompose`` keeps the same columns (on
+    # one rank: its partitions are tested on their own)
     started = time.perf_counter()
     checked = 0
     for seed in DENSE_SEEDS:
         rng = np.random.default_rng(seed)
         p = int(rng.integers(6, 25))
-        dense, c = secant_columns(rng, p)
-        r_full = rng.standard_normal(p)
-        n_h = min(dense.shape[1] - c, p)
-        # (current columns, history columns): a step's first proposal,
-        # as the coupler makes it, then a later one, whose history share
-        # the interface size may cut
-        proposals = ([(0, n_h)] if n_h else []) + [(c, min(n_h, p - c))]
-        cases = [(np.hstack([dense[:, :now], dense[:, c:c + k]]), epsilon)
-                 for now, k in proposals for epsilon in EPSILONS]
+        history, residuals, ranking = step_of_residuals(rng, p)
+        n_h = history.shape[1]
+        cases = []
+        for k in range(residuals.shape[1]):
+            now = min(k, ranking, p)
+            k_h = min(n_h, p - now)
+            offered = np.column_stack(
+                [residuals[:, k - i] - residuals[:, k]
+                 for i in range(1, now + 1)] + [history[:, :k_h]])
+            cases += [(k, now, k_h, offered, epsilon) for epsilon in EPSILONS]
 
         def body(comm, layout):
-            cols = dense_columns(layout, comm, dense)
-            history = cols[c:c + n_h]
-            step = StepFactor(history)
-            r = vector(layout, comm, r_full)
+            one_rank = len(layout.counts) == 1
+            step = StepFactor(dense_columns(layout, comm, history),
+                              vector(layout, comm, residuals[:, 0]))
             out = []
-            for now, k in proposals:
-                for epsilon in EPSILONS:
-                    stack, outcome, head = step.factor(cols[:now], r, k,
-                                                       epsilon)
-                    _, direct = decompose(cols[:now] + history[:k], epsilon)
-                    rebuilt = np.column_stack([gather(v)
-                                               for v in reconstruct(stack)])
-                    try:
-                        lam = back_substitute(stack, -head, comm, layout)
-                    except SingularUpperError:
-                        lam = None
-                    out.append((outcome.kept, direct.kept,
-                                np.abs(np.diag(stack.upper)), rebuilt, lam))
+            for k, now, k_h, offered, epsilon in cases:
+                if k and epsilon == EPSILONS[0]:
+                    step.append(vector(layout, comm, residuals[:, k]))
+                if not now + k_h:
+                    continue
+                stack, outcome, head = step.factor(now, k_h, epsilon)
+                direct = outcome
+                if one_rank:
+                    _, direct = decompose(
+                        dense_columns(layout, comm, offered), epsilon)
+                rebuilt = gather_columns(reconstruct(stack))
+                try:
+                    lam = back_substitute(stack, -head, comm, layout)
+                except SingularUpperError:
+                    lam = None
+                out.append((outcome.kept, direct.kept,
+                            np.abs(np.diag(stack.upper)), rebuilt, lam))
             return out
 
+        cases_run = [case for case in cases if case[1] + case[2]]
+        kept_dense = [dense_filter(offered, epsilon)
+                      for _, _, _, offered, epsilon in cases_run]
         for counts in ([p], [1, 2, p - 3], [0, 3, p - 3]):
             ranks = on_team(counts, body)
             for other in ranks[1:]:
                 for mine, theirs in zip(ranks[0], other):
                     assert mine[:2] == theirs[:2]
                     np.testing.assert_array_equal(mine[2], theirs[2])
-            for (offered, epsilon), (kept, direct, diag, rebuilt, lam) \
-                    in zip(cases, ranks[0]):
-                where = "seed %d counts %r epsilon %g" % (seed, counts,
-                                                          epsilon)
-                assert kept == dense_filter(offered, epsilon), where
+            for (k, _, _, offered, epsilon), reference_kept, \
+                    (kept, direct, diag, rebuilt, lam) \
+                    in zip(cases_run, kept_dense, ranks[0]):
+                where = "seed %d counts %r proposal %d epsilon %g" % (
+                    seed, counts, k, epsilon)
+                assert kept == reference_kept, where
                 assert direct == kept, where
                 chosen = offered[:, kept]
                 scale = np.linalg.norm(chosen)
@@ -450,7 +484,8 @@ def test_step_factor_matches_dense_reference():
                 if kappa < 1e12:
                     assert lam is not None, where
                 if lam is not None:
-                    ref, *_ = np.linalg.lstsq(chosen, -r_full, rcond=None)
+                    ref, *_ = np.linalg.lstsq(chosen, -residuals[:, k],
+                                              rcond=None)
                     err = np.linalg.norm(lam - ref) / np.linalg.norm(ref)
                     assert err <= max(1e-10, 1e-15 * kappa ** 2), where
                 checked += 1
@@ -460,14 +495,16 @@ def test_step_factor_matches_dense_reference():
 
 
 def test_step_factor_collectives_on_spanning_pivots():
-    # team [1, 2, 6]: a step's first proposal factors the history in the
-    # pass that carries r, k_H + live reflectors + 1 reductions; every
-    # later proposal pays 2c + 2 (2c + 1 with no history), whatever the
-    # history holds; a filter drop costs nothing
+    # team [1, 2, 6], p = 9: a step's first proposal factors [H, r_0]
+    # in one pass, k_H + live reflectors + 1 reductions; every later
+    # proposal appends its residual with 2, whatever the columns chosen
+    # from F and the filter do, and with 1 once F has a column per row;
+    # choosing columns and filtering them cost nothing
     rng = np.random.default_rng(37)
-    dense = random_tall(9, 7, 10.0, rng)
-    r_full = rng.standard_normal(9)
-    near = dense[:, 0] + 1e-13 * rng.standard_normal(9)
+    p = 9
+    dense = random_tall(p, 5, 10.0, rng)
+    residuals = rng.standard_normal((p, p + 2))
+    residuals[:, 3] = residuals[:, 1]  # r_1 - r_3 = 0: a filter drop
 
     def body(comm, layout):
         def spent(call):
@@ -478,51 +515,52 @@ def test_step_factor_collectives_on_spanning_pivots():
             return comm.counters["allreduce"] - before, out
 
         cols = dense_columns(layout, comm, dense)
-        twin = vector(layout, comm, near)
-        r = vector(layout, comm, r_full)
+        rs = dense_columns(layout, comm, residuals)
         made = {}
-        for k_h in (1, 3, 5):
-            step = StepFactor(cols[2:2 + k_h])
-            made["first", k_h], (stack, _, _) = spent(
-                lambda: step.factor([], r, k_h, 1e-9))
-            made["live", k_h] = sum(not f for f in stack.identity_flags)
-            for c in (1, 2):
-                made[c, k_h], _ = spent(
-                    lambda: step.factor(cols[:c], r, k_h, 1e-9))
-            made["drop", k_h], (_, outcome, _) = spent(
-                lambda: step.factor([cols[0], twin], r, k_h, 1e-9))
-            assert outcome.dropped == [1]
-        step = StepFactor([])
-        for c in (1, 2):
-            made[c, 0], _ = spent(lambda: step.factor(cols[:c], r, 0, 1e-9))
-        made["decompose drop"], (_, outcome) = spent(
-            lambda: decompose(cols[:4] + [twin], 1e-9))
-        assert outcome.dropped == [4]
+        for k_h in (0, 1, 3, 5):
+            made["first", k_h], step = spent(
+                lambda: StepFactor(cols[:k_h], rs[0]))
+            flags = step.factor(0, k_h, 1e-9)[0].identity_flags if k_h else []
+            made["live", k_h] = sum(not f for f in flags[:k_h])
+            for k in range(1, p + 2 - k_h):
+                made["append", k_h, k], _ = spent(
+                    lambda: step.append(rs[k]))
+                for now in range(1, min(k, 3) + 1):
+                    for h in {0, min(k_h, p - now)}:
+                        made["factor", k_h, k, now, h], (_, outcome, _) = \
+                            spent(lambda: step.factor(now, h, 1e-9))
+                        if k == 3 and now >= 2:
+                            assert 1 in outcome.dropped
         return made
 
     for made in on_team([1, 2, 6], body):
-        for k_h in (1, 3, 5):
+        for k_h in (0, 1, 3, 5):
             assert made["live", k_h] == k_h
             assert made["first", k_h] == k_h + made["live", k_h] + 1 \
                 == 2 * k_h + 1
-            for c in (1, 2):
-                assert made[c, k_h] == 2 * c + 2
-            assert made["drop", k_h] == 2 * 2 + 2
-        for c in (1, 2):
-            assert made[c, 0] == 2 * c + 1
-        assert made["decompose drop"] == 2 * 5 - 1
+            for k in range(1, p + 2 - k_h):
+                # F has k_h + k columns before the append
+                assert made["append", k_h, k] == (2 if k_h + k < p else 1)
+        assert {n for key, n in made.items() if key[0] == "factor"} == {0}
 
 
 def test_step_factor_rejects_history_it_has_not_factored():
-    # truncation is free, growth is not: k_h may shrink within a step
+    # the secant columns come from F: no more history columns than it
+    # holds, no more differences than it has earlier residuals, and no
+    # more history than the interface has rows
     layout, comm = single_rank(6)
     cols = dense_columns(layout, comm,
                          random_tall(6, 3, 10.0, np.random.default_rng(3)))
     r = vector(layout, comm, np.ones(6))
+    step = StepFactor(cols[:2], r)
+    step.factor(0, 2, 0.0)
     with pytest.raises(ValueError):
-        StepFactor(cols[:2]).factor([], r, 3, 0.0)
-    step = StepFactor(cols[:2])
-    step.factor([], r, 1, 0.0)
-    step.factor(cols[2:], r, 1, 0.0)
+        step.factor(0, 3, 0.0)
     with pytest.raises(ValueError):
-        step.factor(cols[2:], r, 2, 0.0)
+        step.factor(1, 0, 0.0)
+    step.append(cols[2])
+    step.factor(1, 2, 0.0)
+    with pytest.raises(ValueError):
+        step.factor(2, 0, 0.0)
+    with pytest.raises(ValueError):
+        StepFactor(cols * 3, r)
