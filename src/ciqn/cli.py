@@ -88,13 +88,6 @@ def _text(value) -> str:
     return value
 
 
-def _names(value):
-    """One name, or a list of names as a tuple."""
-    if isinstance(value, list):
-        return tuple(_text(v) for v in value)
-    return _text(value)
-
-
 def _grid_values(value, parse_one) -> tuple:
     """Accept a JSON list, a bare scalar, or the flag-style comma string."""
     if isinstance(value, str):
@@ -123,7 +116,9 @@ _CONFIG_PARSERS = {
     "problem": _text, "relax_on": _text, "out": _text,
     "steps": _integer, "ranks": _integer, "max_iters": _integer,
     "tol": _number, "omega0": _number,
-    "accel": _names,
+    # one accelerator name, or a list of them
+    "accel": lambda v: (tuple(map(_text, v)) if isinstance(v, list)
+                        else _text(v)),
 }
 _SPEC_KEYS = tuple(key for key in _CONFIG_PARSERS if key != "accel")
 
@@ -151,9 +146,7 @@ def _load_config(path: str) -> dict:
 
 
 def _make_spec(args: argparse.Namespace, default_accel) -> tuple[SweepSpec, object]:
-    options: dict = {}
-    if args.config:
-        options.update(_load_config(args.config))
+    options = _load_config(args.config) if args.config else {}
     accel = options.pop("accel", default_accel)
     for key in _SPEC_KEYS:
         value = getattr(args, key, None)
@@ -188,17 +181,15 @@ def main(argv=None) -> int:
         if spec.out:
             sys.stdout.write("wrote %s\n" % spec.out)
         return 0
-    if args.command == "compare":
-        spec, accel = _make_spec(args, ("ciqn", "aitken"))
-        if isinstance(accel, str):
-            accel = tuple(accel.split(","))
-        try:
-            report = compare_accelerators(spec, accel)
-        except ValueError as err:
-            raise SystemExit("ciqn: %s" % err)
-        sys.stdout.write(report.render())
-        return 0
-    return 2
+    spec, accel = _make_spec(args, ("ciqn", "aitken"))
+    if isinstance(accel, str):
+        accel = tuple(accel.split(","))
+    try:
+        report = compare_accelerators(spec, accel)
+    except ValueError as err:
+        raise SystemExit("ciqn: %s" % err)
+    sys.stdout.write(report.render())
+    return 0
 
 
 if __name__ == "__main__":

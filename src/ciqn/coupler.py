@@ -36,15 +36,10 @@ many secant columns the filter dropped during it.  Picard and Aitken
 drop none; ciqn pushes a converged step's columns into its history.
 
 The whole loop of a time step is :meth:`Coupler.run_time_step`: evaluate
-H(x), form r, make one reduction, test, update.  That one reduction
-carries all of the iteration's scalars.  ``inner_products(r)`` names, as
-(a, b) pairs of interface vectors, the inner products the accelerator
-needs for the current residual: Aitken names (delta, delta) and
-(r_prev, delta) once it has an r_prev, Picard and ciqn none.
-``run_time_step`` sums them with r . r in one :func:`ciqn.field.dots`
-call, takes the norm, finiteness and convergence tests from the first
-sum, and hands the others to ``propose`` in order.  On the iteration
-that converges, Aitken's products are local work spent for nothing.
+H(x), form r, make one reduction, test, update.  The reduction sums r . r
+with the inner products that ``inner_products(r)`` names as (a, b) pairs
+(Aitken's (delta, delta) and (r_prev, delta) once it has an r_prev), and
+``propose`` gets those sums in order.
 """
 
 from __future__ import annotations
@@ -172,12 +167,11 @@ class AitkenAccelerator:
 
     def __init__(self, omega0: float):
         self.omega0 = omega0
-        self._omega: float | None = None
-        self._prev_r: InterfaceVector | None = None
+        self.start_step()
 
     def start_step(self) -> None:
-        self._omega = None
-        self._prev_r = None
+        self._omega: float | None = None
+        self._prev_r: InterfaceVector | None = None
 
     def inner_products(self, r) -> list:
         if self._prev_r is None:
@@ -186,15 +180,10 @@ class AitkenAccelerator:
         return [(delta, delta), (self._prev_r, delta)]
 
     def propose(self, x, x_tilde, r, sums) -> InterfaceVector:
-        if self._prev_r is None:
-            omega = self.omega0
-        else:
-            denom, cross = sums
-            if denom == 0.0:
-                omega = self._omega
-            else:
-                omega = -self._omega * cross / denom
-                omega = min(2.0, max(-2.0, omega))
+        # sums are (delta . delta, r_prev . delta) once there is an r_prev
+        omega = self.omega0 if self._prev_r is None else self._omega
+        if sums and sums[0] != 0.0:
+            omega = min(2.0, max(-2.0, -self._omega * sums[1] / sums[0]))
         self._omega = omega
         self._prev_r = r.copy()
         return field.axpy(omega, r, x)
@@ -212,12 +201,11 @@ class CiqnAccelerator:
         # (r, x_tilde) of this step, newest first: the newest iterate
         # and the ``ranking`` before it
         self._log: deque = deque(maxlen=config.ranking + 1)
-        self._factor: StepFactor | None = None
-        self._dropped = 0
+        self.start_step()
 
     def start_step(self) -> None:
         self._log.clear()
-        self._factor = None
+        self._factor: StepFactor | None = None
         self._dropped = 0
 
     def inner_products(self, r) -> list:

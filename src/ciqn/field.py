@@ -9,6 +9,7 @@ j on whichever rank owns it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,8 @@ class PartitionLayout:
             raise ValueError("negative row count")
         if sum(counts) == 0:
             raise ValueError("empty interface")
-        starts = []
-        off = 0
-        for c in counts:
-            starts.append(off)
-            off += c
-        return cls(counts, off, tuple(starts))
+        return cls(counts, sum(counts),
+                   tuple(itertools.accumulate(counts[:-1], initial=0)))
 
 
 def split_evenly(global_size: int, nranks: int) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ flushed as each cell finishes, so partial output survives interruption.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import time
@@ -95,11 +96,8 @@ def run_cell(spec: SweepSpec, histories: int, ranking: int,
     result = solve_coupled(problem, spec.config(histories, ranking, epsilon),
                            spec.steps,
                            accelerator=spec.accelerator, nranks=spec.ranks)
-    iterations = [r.iterations for r in result.records]
-    if result.diverged:
-        mean, sd = None, None
-    else:
-        mean, sd = _population_stats(iterations)
+    mean, sd = (None, None) if result.diverged else _population_stats(
+        [r.iterations for r in result.records])
     return CellStats(histories, ranking, epsilon, mean, sd, result.diverged,
                      sum(r.restarts for r in result.records))
 
@@ -114,34 +112,24 @@ def csv_row(cell: CellStats) -> str:
 
 def run_sweep(spec: SweepSpec) -> list[CellStats]:
     """Run the whole grid; streams CSV rows to ``spec.out`` if set."""
-    out = open(spec.out, "w") if spec.out else None
     cells = []
-    try:
+    with open(spec.out, "w") if spec.out else contextlib.nullcontext() as out:
         if out:
             out.write(CSV_HEADER + "\n")
             out.flush()
-        for histories in spec.histories:
-            for ranking in spec.ranking:
-                for epsilon in spec.epsilon:
-                    cell = run_cell(spec, histories, ranking, epsilon)
-                    cells.append(cell)
-                    if out:
-                        out.write(csv_row(cell) + "\n")
-                        out.flush()
-    finally:
-        if out:
-            out.close()
+        for grid_cell in itertools.product(spec.histories, spec.ranking,
+                                           spec.epsilon):
+            cells.append(run_cell(spec, *grid_cell))
+            if out:
+                out.write(csv_row(cells[-1]) + "\n")
+                out.flush()
     return cells
 
 
 def render_table(cells: list[CellStats]) -> str:
     """Grid of mean iteration counts, epsilon across, 'F' for failures."""
     eps_values = sorted({c.epsilon for c in cells})
-    row_keys = []
-    for c in cells:
-        key = (c.histories, c.ranking)
-        if key not in row_keys:
-            row_keys.append(key)
+    row_keys = dict.fromkeys((c.histories, c.ranking) for c in cells)
     by_key = {(c.histories, c.ranking, c.epsilon): c for c in cells}
     width = 9
     header = "histories ranking" + "".join(
@@ -151,12 +139,9 @@ def render_table(cells: list[CellStats]) -> str:
         line = "%9d %7d" % (histories, ranking)
         for eps in eps_values:
             cell = by_key.get((histories, ranking, eps))
-            if cell is None:
-                line += "".rjust(width)
-            elif cell.diverged:
-                line += "F".rjust(width)
-            else:
-                line += ("%.2f" % cell.mean).rjust(width)
+            text = "" if cell is None else "F" if cell.diverged \
+                else "%.2f" % cell.mean
+            line += text.rjust(width)
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -185,22 +170,19 @@ class ComparisonReport:
         return base / cand
 
     def render(self) -> str:
-        width = 12
-        lines = ["%-10s%s%s%s%s" % ("", "mean iters".rjust(width),
-                                    "sd".rjust(width),
-                                    "diverged".rjust(width),
-                                    "wall s".rjust(width))]
+        def row(name, *columns):
+            return "%-10s" % name + "".join(c.rjust(12) for c in columns)
+
+        lines = [row("", "mean iters", "sd", "diverged", "wall s")]
         for name in self.accelerators:
             mean = self.mean_iterations(name)
             sds = [c.sd for c in self.cells[name] if c.sd is not None]
             sd = sum(sds) / len(sds) if sds else None
-            lines.append("%-10s%s%s%s%s" % (
-                name,
-                ("-" if mean is None else "%.2f" % mean).rjust(width),
-                ("-" if sd is None else "%.2f" % sd).rjust(width),
-                ("%d/%d" % (self.divergence_count(name),
-                            len(self.cells[name]))).rjust(width),
-                ("%.2f" % self.wall_times[name]).rjust(width)))
+            lines.append(row(
+                name, "-" if mean is None else "%.2f" % mean,
+                "-" if sd is None else "%.2f" % sd,
+                "%d/%d" % (self.divergence_count(name), len(self.cells[name])),
+                "%.2f" % self.wall_times[name]))
         first = self.accelerators[0]
         for other in self.accelerators[1:]:
             ratio = self.speedup(other, first)

@@ -17,6 +17,7 @@ read-only across rank threads.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -25,16 +26,7 @@ from . import field
 from .field import InterfaceVector
 
 
-PROBLEMS = ("linear", "piston", "two")
 RELAX_ON = ("displacement", "force")
-# what ``make_problem`` takes for each problem besides relax_on and seed
-PARAMETERS = {
-    "linear": ("dim", "spectral_radius"),
-    "piston": ("dim", "mass_ratio", "stiffness", "time_step",
-               "neighbor_coupling", "forcing_offset", "forcing_amplitude",
-               "forcing_frequency"),
-    "two": ("dim", "contraction", "cross_coupling"),
-}
 
 
 def _finite_or_raise(full: np.ndarray) -> None:
@@ -62,8 +54,7 @@ class LinearFixedPoint:
             raise ValueError("matrix must be square")
         if offset.shape != (matrix.shape[0],):
             raise ValueError("offset size mismatch")
-        self.matrix = matrix
-        self.offset = offset
+        self.matrix, self.offset = matrix, offset
         self.drift_amplitude = drift_amplitude
         self.drift_frequency = drift_frequency
 
@@ -103,6 +94,7 @@ class LinearFixedPoint:
                                                         self.offset)
 
 
+@dataclasses.dataclass(eq=False)
 class AddedMassPiston:
     """Added-mass dominated piston column, linearized about its target.
 
@@ -121,34 +113,29 @@ class AddedMassPiston:
     becomes unreachable.
     """
 
-    def __init__(self, dim: int, mass_ratio: float = 5.0,
-                 stiffness: float = 1.0, time_step: float = 0.1,
-                 neighbor_coupling: float = 0.3,
-                 relax_on: str = "displacement",
-                 forcing_offset: float = 0.5,
-                 forcing_amplitude: float = 0.4,
-                 forcing_frequency: float = 0.93):
-        if dim < 1:
+    dim: int = 64
+    mass_ratio: float = 5.0
+    stiffness: float = 1.0
+    time_step: float = 0.1
+    neighbor_coupling: float = 0.3
+    relax_on: str = "displacement"
+    forcing_offset: float = 0.5
+    forcing_amplitude: float = 0.4
+    forcing_frequency: float = 0.93
+
+    def __post_init__(self):
+        if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if mass_ratio <= 0:
+        if self.mass_ratio <= 0:
             raise ValueError("mass_ratio must be > 0")
-        if not 0 <= neighbor_coupling <= 0.5:
+        if not 0 <= self.neighbor_coupling <= 0.5:
             raise ValueError("neighbor_coupling must be in [0, 0.5]")
-        if relax_on not in RELAX_ON:
+        if self.relax_on not in RELAX_ON:
             raise ValueError("relax_on must be 'displacement' or 'force'")
-        self.dim = dim
-        self.mass_ratio = mass_ratio
-        self.stiffness = stiffness
-        self.time_step = time_step
-        self.neighbor_coupling = neighbor_coupling
-        self.relax_on = relax_on
-        self.forcing_offset = forcing_offset
-        self.forcing_amplitude = forcing_amplitude
-        self.forcing_frequency = forcing_frequency
         # a loaded patch, not a smooth profile: its sharp edges excite
         # stencil modes across the whole spectrum, which is what makes
         # scalar relaxation work for its living here
-        cells = np.arange(dim)
+        cells, dim = np.arange(self.dim), self.dim
         self.profile = 1.0 + 0.5 * ((cells >= dim // 4)
                                     & (cells < dim // 4 + max(1, dim // 8)))
 
@@ -248,6 +235,17 @@ class TwoInterfaceBlock(LinearFixedPoint):
         return float(np.linalg.norm(r[rows_a])), float(np.linalg.norm(r[rows_b]))
 
 
+# the parameters ``make_problem`` takes for each problem, besides
+# relax_on and seed, with their defaults
+PARAMETERS = {
+    "linear": {"dim": 8, "spectral_radius": 0.5},
+    "piston": {f.name: f.default for f in dataclasses.fields(AddedMassPiston)
+               if f.name != "relax_on"},
+    "two": {"dim": 12, "contraction": 0.6, "cross_coupling": 0.2},
+}
+PROBLEMS = tuple(PARAMETERS)
+
+
 def check_problem(name: str, relax_on: str, params) -> None:
     """ValueError unless ``make_problem`` takes these; builds nothing."""
     if name not in PROBLEMS:
@@ -264,18 +262,12 @@ def make_problem(name: str, relax_on: str = "displacement", seed: int = 0,
                  **params):
     """Build a model problem by short name (one of PROBLEMS)."""
     check_problem(name, relax_on, params)
+    # each value takes its default's type
+    args = {key: type(default)(params.get(key, default))
+            for key, default in PARAMETERS[name].items()}
     if name == "piston":
-        return AddedMassPiston(
-            dim=int(params.pop("dim", 64)),
-            mass_ratio=float(params.pop("mass_ratio", 5.0)),
-            relax_on=relax_on, **params)
+        return AddedMassPiston(relax_on=relax_on, **args)
     if name == "linear":
-        return LinearFixedPoint.random_contraction(
-            dim=int(params.pop("dim", 8)),
-            spectral_radius=float(params.pop("spectral_radius", 0.5)),
-            seed=seed)
-    half = int(params.pop("dim", 12)) // 2
-    return TwoInterfaceBlock.make(
-        size_a=half, size_b=half,
-        contraction=float(params.pop("contraction", 0.6)),
-        cross_coupling=float(params.pop("cross_coupling", 0.2)), seed=seed)
+        return LinearFixedPoint.random_contraction(seed=seed, **args)
+    half = args.pop("dim") // 2
+    return TwoInterfaceBlock.make(size_a=half, size_b=half, seed=seed, **args)

@@ -1,12 +1,11 @@
 """Compact Householder factorization of tall distributed matrices.
 
 The quasi-Newton update needs the least-squares solution of a tall,
-skinny system V*lam ~ -r where V has at most a few dozen columns but as
-many rows as the interface.  We factor V = Q*[U; 0] with Householder
-reflectors and never form Q or any p-by-p matrix: the factorization is
-the reflector vectors (stored as distributed fields) plus small
-replicated matrices, the triangle U and, after a filter drop, a local
-rotation.
+skinny system V*lam ~ -r, V with a few dozen columns and a row per
+interface entry.  V = Q*[U; 0] is factored with Householder reflectors,
+stored as distributed fields, and small replicated matrices: the
+triangle U and, after a filter drop, a local rotation.  Neither Q nor
+any p-by-p matrix is formed.
 
 Pivot row j is global row j, on whichever rank owns it.  The few
 replicated scalars each column needs -- its norm below the pivot, the
@@ -15,18 +14,19 @@ zero-padded reduction, so no rank is privileged.
 
 The relative filter against (near-)dependent columns runs on the
 replicated triangle, with no communication: scanning in column order,
-column j is removed when |U[j, j]| < epsilon * ||U[:, :j+1]||_F (over
-the columns kept so far), the columns after it are re-triangularized
-locally, and the scan goes on at j.  With epsilon = 0 an exactly
-dependent column surfaces later as a "singular U" error from the
-triangular solve.
+column j is removed when |U[j, j]| <= epsilon * ||U[:, :j+1]||_F (over
+the columns kept so far, so a zero column goes, the first one too), the
+columns after it are re-triangularized locally, and the scan goes on
+at j.  Epsilon = 0 turns it off: an exactly dependent column surfaces
+later as a "singular U" error from the triangular solve.
 
 The coupler's ``StepFactor`` factors one time step's F = [H, r_0, ...,
 r_k], its history columns and then its raw residuals, and appends one
 column per proposal with two reductions (Daniel, Gragg, Kaufman and
 Stewart, Math. Comp. 30, 1976).  Every secant column r_{k-i} - r_k and
 every history column is a fixed combination of F's columns, so their
-triangle comes from R_F on the replicated data, with no communication.
+triangle comes from R_F on the replicated data, with no communication;
+a difference within the rounding of R_F is taken as exactly zero.
 ``decompose``, ``apply_qt`` and ``reconstruct`` are one-shot kernels.
 """
 
@@ -187,7 +187,7 @@ def _triangularize(m: np.ndarray, epsilon: float, triangular: bool):
     while epsilon:
         block = tri[:, :len(kept)]
         filled = np.sqrt(np.cumsum(np.sum(block * block, axis=0)))
-        small = np.flatnonzero(np.abs(np.diagonal(block)) < epsilon * filled)
+        small = np.flatnonzero(np.abs(np.diagonal(block)) <= epsilon * filled)
         if not small.size:
             break
         j = small[0]
@@ -248,14 +248,12 @@ class StepFactor:
     """The Householder factor of one time step's F = [H, r_0, ..., r_k]:
     its history columns, then its raw residuals, oldest first.
 
-    The step's first residual comes with its history, and one Householder
-    pass factors both; ``append`` adds each later residual as one more
-    column, and ``factor`` solves for any choice of secant columns on
-    the replicated triangle R_F = Q_F^T F, with no communication.  The
+    One Householder pass factors the history with the first residual;
+    ``append`` adds each later residual, and ``factor`` solves for any
+    choice of secant columns on the replicated R_F = Q_F^T F.  The
     reflectors are kept in compact WY form, Q_F = I - Y T Y^T (Schreiber
-    and Van Loan 1989); T and the head of Y, its entries on the pivot
-    rows, are replicated.  Once F has a column per interface row, a new
-    column gets no reflector, and its R_F column is its whole projection.
+    and Van Loan 1989); T and the head of Y, its pivot rows, are
+    replicated.
     """
 
     def __init__(self, history: list[InterfaceVector], r: InterfaceVector):
@@ -274,15 +272,9 @@ class StepFactor:
                 self._upper, comm.allreduce_sum_array(
                     _head_share(layout, comm.rank, work[k], k))])
         self._y = [work[:ncols]]  # reflector rows, then one per append
-        self._reflectors = [InterfaceVector(layout, comm, u)
-                            for u in self._y[0]]
         # T and the head of Y ride on the first append's reduction, so a
         # step that makes a single proposal never builds them
         self._t = self._y_head = None
-
-    def _over_y(self, each) -> np.ndarray:
-        """``each`` of every block of reflector rows, concatenated."""
-        return np.concatenate([each(y) for y in self._y])
 
     def append(self, r: InterfaceVector) -> None:
         """Make r, the step's newest residual, F's last column.  Two
@@ -292,7 +284,7 @@ class StepFactor:
         head of Y projects them."""
         layout, comm, n = self.layout, self.comm, len(self._flags)
         full = n == layout.global_size
-        parts = [self._over_y(lambda y: y @ r.local)]
+        parts = [np.concatenate([y @ r.local for y in self._y])]
         if full:
             parts.append(_head_share(layout, comm.rank, r.local, n))
         if self._t is None:
@@ -318,10 +310,10 @@ class StepFactor:
             done += len(y)
         before = _rows_before(layout, comm.rank, n)
         u, alpha, nrm, head, extra = _reflector_from_column(
-            layout, comm, col, n, np.concatenate((
-                self._over_y(lambda y: y[:, before:] @ col[before:]),
-                self._over_y(lambda y: _head_share(
-                    layout, comm.rank, y, n + 1)[:, n]))))
+            layout, comm, col, n, np.concatenate(
+                [y[:, before:] @ col[before:] for y in self._y]
+                + [_head_share(layout, comm.rank, y, n + 1)[:, n]
+                   for y in self._y]))
         # Y u, from Y times col from the pivot down and Y's pivot row
         y_row = extra[n:]
         y_u = (extra[:n] - alpha * y_row) / nrm if nrm else np.zeros(n)
@@ -331,9 +323,7 @@ class StepFactor:
         self._y_head = _bordered(self._y_head, y_row,
                                  (head[-1] - alpha) / nrm if nrm else 0.0)
         self._upper = _bordered(self._upper, head[:-1], alpha)
-        col[:] = u
-        self._y.append(col[None, :])
-        self._reflectors.append(InterfaceVector(layout, comm, col))
+        self._y.append(u[None, :])
         self._flags.append(not nrm)
 
     def factor(self, current: int, k_h: int, epsilon: float):
@@ -348,14 +338,23 @@ class StepFactor:
                 or not 0 <= k_h <= self.history:
             raise ValueError("F holds %d history columns and %d residuals"
                              % (self.history, newest - self.history + 1))
-        r_k = upper[:, newest]
-        m = np.column_stack([upper[:, newest - i] - r_k
-                             for i in range(1, current + 1)]
-                            + [upper[:, :k_h]])
+        r_k, earlier = upper[:, newest], upper[:, newest - current:newest]
+        # R_F's columns carry rounding of a few ulps per reflector: a
+        # difference, or a projection of r_k, below that floor is zero,
+        # as it is when the residuals themselves are equal
+        floor = 4.0 * upper.shape[1] * np.finfo(np.float64).eps
+        diffs = (earlier - r_k[:, None])[:, ::-1]
+        diffs[:, np.linalg.norm(diffs, axis=0) <= floor * np.maximum(
+            np.linalg.norm(earlier, axis=0)[::-1], np.linalg.norm(r_k))] = 0.0
+        m = np.hstack([diffs, upper[:, :k_h]])
         tri, rotation, outcome = _triangularize(m, epsilon, not current)
         head = r_k[:len(tri)] if rotation is None else rotation @ r_k
-        return (HouseholderStack(list(self._reflectors), tri,
-                                 list(self._flags), rotation), outcome, head)
+        if np.linalg.norm(head) <= floor * np.linalg.norm(r_k):
+            head = np.zeros_like(head)
+        reflectors = [InterfaceVector(self.layout, self.comm, u)
+                      for y in self._y for u in y]
+        return (HouseholderStack(reflectors, tri, list(self._flags),
+                                 rotation), outcome, head)
 
 
 def _bordered(a: np.ndarray, column: np.ndarray, corner: float) -> np.ndarray:

@@ -174,10 +174,7 @@ class RankComm:
 
 
 def _fold_scalars(slots: list) -> float:
-    total = 0.0
-    for s in slots:
-        total += s
-    return total
+    return sum(slots, 0.0)  # 0.0 + slots[0] + slots[1] + ..., in order
 
 
 def _fold_arrays(slots: list) -> np.ndarray:
@@ -225,10 +222,8 @@ def run_spmd(nranks: int, body: Callable[[RankComm], object],
         t.start()
     for t in threads:
         t.join()
-    firsts = [e for e in errors if e is not None and not isinstance(e, _PeerAbortError)]
-    if firsts:
-        raise firsts[0]
-    leftover = [e for e in errors if e is not None]
-    if leftover:
-        raise leftover[0]
+    failed = [e for e in errors if e is not None]
+    if failed:
+        raise next((e for e in failed if not isinstance(e, _PeerAbortError)),
+                   failed[0])
     return results

@@ -109,9 +109,7 @@ def test_startup_step_relaxes_from_operator_output():
 
 def test_zero_projection_returns_operator_output_unchanged():
     # crafted residuals keep r orthogonal to the only secant column, so
-    # the least-squares coefficient is zero and x_tilde passes through;
-    # the factor works on the rounded projections of the raw residuals,
-    # so the coefficient is zero to rounding
+    # the least-squares coefficient is zero and x_tilde passes through
     cfg = CouplerConfig(histories=0, ranking=1)
     layout, comm = single_rank(2)
     c = Coupler(comm, layout, cfg)
@@ -122,8 +120,7 @@ def test_zero_projection_returns_operator_output_unchanged():
                   vector(layout, comm, [2.0, 5.0]), [])
     x_tilde = vector(layout, comm, [0.3, 0.7])
     out = accel.propose(x, x_tilde, vector(layout, comm, [0.0, 5.0]), [])
-    np.testing.assert_allclose(out.local, x_tilde.local,
-                               rtol=8 * np.finfo(float).eps, atol=0.0)
+    np.testing.assert_array_equal(out.local, x_tilde.local)
 
 
 def test_linear_exactness_small():

@@ -352,11 +352,12 @@ EPSILONS = (0.0, 1e-9, 1e-3, 0.1)
 def dense_filter(dense, epsilon):
     """Reference filter on a dense matrix: scan the columns in order and
     drop column j when the triangle of the columns kept so far plus j
-    ends in |U_jj| < epsilon * ||U||_F."""
+    ends in |U_jj| <= epsilon * ||U||_F; epsilon = 0 keeps them all."""
     kept = []
     for j in range(dense.shape[1]):
         upper = np.linalg.qr(dense[:, kept + [j]], mode="r")
-        if not abs(upper[-1, -1]) < epsilon * np.linalg.norm(upper):
+        if not epsilon \
+                or abs(upper[-1, -1]) > epsilon * np.linalg.norm(upper):
             kept.append(j)
     return kept
 
@@ -366,16 +367,12 @@ def some_columns(rng, p, count, affine):
     some are a combination of an earlier pair plus a perturbation of
     relative size 1e-6 or 1e-12.  With ``affine`` the columns are
     residuals: the combination's weights sum to one, so the differences
-    of the columns are the near-dependent ones, and no column copies the
-    one just before it.  (Such a copy makes the first secant column
-    zero, which the relative filter keeps, as 0 < epsilon * 0 is false;
-    the direction a factor then gives it depends on the basis it works
-    in, so later filter decisions cannot be compared.)"""
+    of the columns are the near-dependent ones."""
     cols = []
     for j in range(count):
         kind = rng.random()
         if j >= 2 and kind < 0.15:
-            cols.append(cols[rng.integers(j - affine)].copy())
+            cols.append(cols[rng.integers(j)].copy())
         elif j >= 2 and kind < 0.3:
             a, b = rng.choice(j, 2, replace=False)
             mix = cols[a] + 0.7 * (cols[b] - cols[a]) if affine \
@@ -412,8 +409,7 @@ def test_step_factor_matches_dense_reference():
     # last ``ranking`` differences r_{k-i} - r_k, then the history cut
     # at the interface size) against numpy on the dense columns, on
     # partitions that put pivot rows on several ranks and behind an
-    # empty one; the one-shot ``decompose`` keeps the same columns (on
-    # one rank: its partitions are tested on their own)
+    # empty one; the one-shot ``decompose`` keeps the same columns
     started = time.perf_counter()
     checked = 0
     for seed in DENSE_SEEDS:
@@ -431,7 +427,6 @@ def test_step_factor_matches_dense_reference():
             cases += [(k, now, k_h, offered, epsilon) for epsilon in EPSILONS]
 
         def body(comm, layout):
-            one_rank = len(layout.counts) == 1
             step = StepFactor(dense_columns(layout, comm, history),
                               vector(layout, comm, residuals[:, 0]))
             out = []
@@ -441,10 +436,8 @@ def test_step_factor_matches_dense_reference():
                 if not now + k_h:
                     continue
                 stack, outcome, head = step.factor(now, k_h, epsilon)
-                direct = outcome
-                if one_rank:
-                    _, direct = decompose(
-                        dense_columns(layout, comm, offered), epsilon)
+                _, direct = decompose(dense_columns(layout, comm, offered),
+                                      epsilon)
                 rebuilt = gather_columns(reconstruct(stack))
                 try:
                     lam = back_substitute(stack, -head, comm, layout)
@@ -499,12 +492,14 @@ def test_step_factor_collectives_on_spanning_pivots():
     # in one pass, k_H + live reflectors + 1 reductions; every later
     # proposal appends its residual with 2, whatever the columns chosen
     # from F and the filter do, and with 1 once F has a column per row;
-    # choosing columns and filtering them cost nothing
+    # choosing columns and filtering them cost nothing; ``decompose``
+    # pays 2k - 1 for k columns, with a drop as without
     rng = np.random.default_rng(37)
     p = 9
     dense = random_tall(p, 5, 10.0, rng)
     residuals = rng.standard_normal((p, p + 2))
     residuals[:, 3] = residuals[:, 1]  # r_1 - r_3 = 0: a filter drop
+    near = dense[:, 0] + 1e-13 * rng.standard_normal(p)
 
     def body(comm, layout):
         def spent(call):
@@ -531,6 +526,9 @@ def test_step_factor_collectives_on_spanning_pivots():
                             spent(lambda: step.factor(now, h, 1e-9))
                         if k == 3 and now >= 2:
                             assert 1 in outcome.dropped
+        made["decompose drop"], (_, outcome) = spent(
+            lambda: decompose(cols[:4] + [vector(layout, comm, near)], 1e-9))
+        assert outcome.dropped == [4]
         return made
 
     for made in on_team([1, 2, 6], body):
@@ -542,6 +540,7 @@ def test_step_factor_collectives_on_spanning_pivots():
                 # F has k_h + k columns before the append
                 assert made["append", k_h, k] == (2 if k_h + k < p else 1)
         assert {n for key, n in made.items() if key[0] == "factor"} == {0}
+        assert made["decompose drop"] == 2 * 5 - 1
 
 
 def test_step_factor_rejects_history_it_has_not_factored():
