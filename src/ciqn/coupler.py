@@ -8,24 +8,21 @@ iterate are provided:
                  operator amplifies, which added-mass problems do);
 * ``aitken``     relaxes by a dynamically adapted scalar;
 * ``ciqn``       the compact interface quasi-Newton update.  Residual
-                 and state increments collected during the step (and
-                 optionally from past steps) span a secant space; the
+                 and state increments span a secant space; the
                  least-squares combination of residual increments that
                  best cancels r, applied to the state increments on top
-                 of H(x), is the next iterate.  The least-squares core
-                 is the compact Householder factorization from
-                 :mod:`ciqn.qr`; nothing square in the interface size is
-                 ever formed.
+                 of H(x), is the next iterate.
 
 Increment columns are ordered newest first.  Within a step at most
 ``ranking`` of the most recent iterate pairs are kept; with history
 reuse (``histories`` = T > 0) the column blocks of the last T converged
-steps are appended after the current step's block, and the combined
-count is capped by the interface size, which no partitioning changes.
-Every column is a fixed combination of the history columns and the
-step's raw residuals, so a step keeps one factor of those
-(:class:`ciqn.qr.StepFactor`): one pass factors the history and the
-first residual, and each later proposal appends only its own residual.
+steps follow the current step's block, and the combined count is capped
+by the interface size, which no partitioning changes.  Every residual
+increment is the difference of two raw residuals, so the solve keeps
+one compact Householder factor of the residuals (:mod:`ciqn.qr`;
+nothing square in the interface size is formed): each proposal appends
+its own, a history block is the pairs of the factor's columns it
+differences, and a step start compacts the factor to the live blocks.
 
 Every accelerator has the same four methods, and none of them sees the
 :class:`Coupler`: ``start_step()`` at the start of a time step,
@@ -121,20 +118,27 @@ class IterationRecord:
 
 
 class HistoryStore:
-    """Column blocks of past converged steps, newest block first."""
+    """Column blocks of past converged steps, newest block first: each
+    secant column as a pair (i, j) of columns of the solve's factor,
+    F_i - F_j, with its state increment."""
 
     def __init__(self, capacity: int):
         self._blocks: deque = deque(maxlen=capacity)
 
-    def push(self, v_cols: list[InterfaceVector],
+    def push(self, columns: list[tuple[int, int]],
              w_cols: list[InterfaceVector]) -> None:
-        self._blocks.appendleft((list(v_cols), list(w_cols)))
+        self._blocks.appendleft((list(columns), list(w_cols)))
 
-    def v_columns(self) -> list[InterfaceVector]:
+    def columns(self) -> list[tuple[int, int]]:
         return [c for block in self._blocks for c in block[0]]
 
     def w_columns(self) -> list[InterfaceVector]:
         return [c for block in self._blocks for c in block[1]]
+
+    def renumber(self, new: dict) -> None:
+        """Name every pair as ``new`` does, after the factor compacted."""
+        for pairs, _ in self._blocks:
+            pairs[:] = [new[pair] for pair in pairs]
 
 
 class PicardAccelerator:
@@ -198,15 +202,16 @@ class CiqnAccelerator:
     def __init__(self, config: CouplerConfig):
         self.config = config
         self.history = HistoryStore(config.histories)
-        # (r, x_tilde) of this step, newest first: the newest iterate
-        # and the ``ranking`` before it
+        self._factor = StepFactor()  # one for the whole solve
+        # (factor column of r, x_tilde) of this step, newest first: the
+        # newest iterate and the ``ranking`` before it
         self._log: deque = deque(maxlen=config.ranking + 1)
         self.start_step()
 
     def start_step(self) -> None:
         self._log.clear()
-        self._factor: StepFactor | None = None
         self._dropped = 0
+        self.history.renumber(self._factor.compact(self.history.columns()))
 
     def inner_products(self, r) -> list:
         return []
@@ -214,18 +219,15 @@ class CiqnAccelerator:
     def propose(self, x, x_tilde, r, sums) -> InterfaceVector:
         cfg = self.config
         cap = r.layout.global_size
-        if self._factor is None:
-            self._factor = StepFactor(self.history.v_columns()[:cap], r)
-        else:
-            self._factor.append(r)
-        self._log.appendleft((r, x_tilde))
+        k = self._factor.append(r)
+        self._log.appendleft((k, x_tilde))
         # columns r_i - r and the history's, newest first, capped by the
         # interface size
         current = min(len(self._log) - 1, cap)
-        k_h = min(self._factor.history, cap - current)
+        columns = [(self._log[i][0], k) for i in range(1, current + 1)] \
+            + self.history.columns()[:cap - current]
         try:
-            stack, outcome, head = self._factor.factor(current, k_h,
-                                                       cfg.epsilon)
+            stack, outcome, head = self._factor.factor(columns, cfg.epsilon)
         except EmptySecantSpaceError as err:
             self._dropped += len(err.dropped)
             return field.axpy(cfg.omega0, r, x_tilde)
@@ -248,8 +250,8 @@ class CiqnAccelerator:
 
     def finish_step(self, converged: bool) -> int:
         if converged and len(self._log) > 1:
-            (r, x_tilde), *past = self._log
-            self.history.push([field.axpy(-1.0, r, v) for v, _ in past],
+            (k, x_tilde), *past = self._log
+            self.history.push([(i, k) for i, _ in past],
                               [field.axpy(-1.0, x_tilde, w) for _, w in past])
         return self._dropped
 

@@ -4,8 +4,8 @@ The quasi-Newton update needs the least-squares solution of a tall,
 skinny system V*lam ~ -r, V with a few dozen columns and a row per
 interface entry.  V = Q*[U; 0] is factored with Householder reflectors,
 stored as distributed fields, and small replicated matrices: the
-triangle U and, after a filter drop, a local rotation.  Neither Q nor
-any p-by-p matrix is formed.
+triangle U and a local rotation.  Neither Q nor any p-by-p matrix is
+formed.
 
 Pivot row j is global row j, on whichever rank owns it.  The few
 replicated scalars each column needs -- its norm below the pivot, the
@@ -20,14 +20,13 @@ columns after it are re-triangularized locally, and the scan goes on
 at j.  Epsilon = 0 turns it off: an exactly dependent column surfaces
 later as a "singular U" error from the triangular solve.
 
-The coupler's ``StepFactor`` factors one time step's F = [H, r_0, ...,
-r_k], its history columns and then its raw residuals, and appends one
-column per proposal with two reductions (Daniel, Gragg, Kaufman and
-Stewart, Math. Comp. 30, 1976).  Every secant column r_{k-i} - r_k and
-every history column is a fixed combination of F's columns, so their
-triangle comes from R_F on the replicated data, with no communication;
-a difference within the rounding of R_F is taken as exactly zero.
-``decompose``, ``apply_qt`` and ``reconstruct`` are one-shot kernels.
+The coupler keeps one ``StepFactor`` per solve.  Its F holds every raw
+residual, each appended with two reductions (Daniel, Gragg, Kaufman and
+Stewart, Math. Comp. 30, 1976); every secant column, the history's too,
+is a difference of two of F's columns, picked from R_F locally.  A step
+start rebuilds F from its live columns, also locally, once they number
+less than half its reflectors.  ``decompose``, ``apply_qt`` and
+``reconstruct`` are one-shot kernels.
 """
 
 from __future__ import annotations
@@ -71,9 +70,10 @@ class HouseholderStack:
     """The factorization: reflectors plus small replicated matrices.
 
     reflectors[j] zeroes its column below global row j; each has unit
-    norm or is zero (the identity).  ``upper`` is q-by-q, identical on
-    all ranks; ``rotation`` (unless the reflectors' triangle is U itself)
-    is the first q rows of the local orthogonal factor applied after them.
+    norm (to rounding, once a ``StepFactor`` has compacted) or is zero
+    (the identity).  ``upper`` is q-by-q, identical on all ranks;
+    ``rotation`` (None: the identity) is the first q rows of the local
+    orthogonal factor applied after the reflectors.
     """
 
     reflectors: list[InterfaceVector]
@@ -93,16 +93,16 @@ def _rows_before(layout: PartitionLayout, rank: int, n: int) -> int:
 
 def _head_share(layout: PartitionLayout, rank: int, local: np.ndarray,
                 n: int) -> np.ndarray:
-    """This rank's entries among global rows 0..n-1 of ``local`` (a slice,
-    or rows of slices), in a last axis of length n.
+    """This rank's entries among global rows 0..n-1 of its slice
+    ``local``, in an array of length n.
 
     The other entries are -0.0, the exact additive identity, so an
     allreduce of the shares returns every row's value bit for bit (the
     sign of a zero included) from whichever rank owns it.
     """
     start, rows = layout.starts[rank], _rows_before(layout, rank, n)
-    share = np.full(local.shape[:-1] + (n,), -0.0)
-    share[..., start:start + rows] = local[..., :rows]
+    share = np.full(n, -0.0)
+    share[start:start + rows] = local[:rows]
     return share
 
 
@@ -151,39 +151,17 @@ def _reflect(comm: RankComm, reflectors, identity_flags,
             block -= 2.0 * np.outer(coefs, u.local)
 
 
-def _householder(layout: PartitionLayout, comm: RankComm, work: np.ndarray,
-                 ncols: int):
-    """Factor the first ``ncols`` rows (local column slices) of ``work``
-    in place, pivoting at global rows 0..ncols-1; later rows are carried
-    along.  Returns the replicated triangle and the identity flags.  One
-    reduction per column, plus one per reflector that has later rows to
-    update."""
-    tri = np.zeros((ncols, ncols))
-    flags: list[bool] = []
-    rows = list(work)  # views: updates land in ``work``
-    for j, col in enumerate(rows[:ncols]):
-        u, alpha, nrm, head, _ = _reflector_from_column(layout, comm, col, j)
-        tri[:j, j], tri[j, j] = head[:-1], alpha
-        col[:] = u
-        later = rows[j + 1:]
-        if nrm and later:
-            coefs = comm.allreduce_sum_array(np.array([u @ w for w in later]))
-            for coef, w in zip(coefs, later):
-                w -= 2.0 * coef * u
-        flags.append(not nrm)
-    return tri, flags
-
-
-def _triangularize(m: np.ndarray, epsilon: float, triangular: bool):
-    """Triangularize the replicated block ``m`` (rows >= columns) under
-    the filter: scan, drop, re-triangularize the rest, go on.  Local.
-    Returns (upper, rotation or None, outcome)."""
+def _triangularize(m: np.ndarray, epsilon: float):
+    """Triangularize the replicated block ``m``, padded with zero rows to
+    its column count, under the filter: scan, drop, re-triangularize the
+    rest, go on.  Local.  Returns (upper, rotation, outcome)."""
     rows, ncols = m.shape
     kept, dropped = list(range(ncols)), []
-    tri = m
-    if not triangular:
-        # the identity carried along becomes the rotation
-        tri = np.linalg.qr(np.hstack([m, np.eye(rows)]), mode="r")
+    # the identity carried along becomes the rotation; an upper
+    # triangular m comes out as it went in, the rotation the identity
+    tri = np.eye(max(rows, ncols), ncols + rows, ncols)
+    tri[:rows, :ncols] = m
+    tri = np.linalg.qr(tri, mode="r")
     while epsilon:
         block = tri[:, :len(kept)]
         filled = np.sqrt(np.cumsum(np.sum(block * block, axis=0)))
@@ -191,25 +169,23 @@ def _triangularize(m: np.ndarray, epsilon: float, triangular: bool):
         if not small.size:
             break
         j = small[0]
-        if tri is m:
-            tri = np.hstack([m, np.eye(rows)])
         dropped.append(kept.pop(j))
         tri = np.delete(tri, j, axis=1)
         tri[j:, j:] = np.linalg.qr(tri[j:, j:], mode="r")
     if not kept:
         raise EmptySecantSpaceError(dropped, len(dropped))
     q = len(kept)
-    return (tri[:q, :q], None if tri is m else tri[:q, q:],
-            FilterOutcome(kept, dropped, len(dropped)))
+    return tri[:q, :q], tri[:q, q:], FilterOutcome(kept, dropped,
+                                                   len(dropped))
 
 
 def decompose(columns: list[InterfaceVector], epsilon: float):
     """Factor the columns into (HouseholderStack, FilterOutcome).
 
-    Every column gets its distributed reflector (2k - 1 reductions for
-    k columns, whatever the filter later drops); the relative filter
-    then runs on the replicated triangle with no communication.  Raises
-    EmptySecantSpaceError when nothing survives.
+    Column j gets its distributed reflector, pivoting at global row j: a
+    reduction, and one more to update the later columns (2k - 1 for k
+    columns, whatever the filter drops); the filter then runs on the
+    replicated triangle locally.  EmptySecantSpaceError: nothing left.
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
@@ -222,9 +198,17 @@ def decompose(columns: list[InterfaceVector], epsilon: float):
     if len(columns) > layout.global_size:
         raise ValueError("%d columns exceed the %d interface rows"
                          % (len(columns), layout.global_size))
-    work = np.array([c.local for c in columns])
-    tri, flags = _householder(layout, comm, work, len(columns))
-    upper, rotation, outcome = _triangularize(tri, epsilon, True)
+    work = np.array([c.local for c in columns])  # becomes the reflectors
+    tri, flags = np.zeros((len(work), len(work))), []
+    for j, col in enumerate(work):
+        u, alpha, nrm, head, _ = _reflector_from_column(layout, comm, col, j)
+        tri[:j, j], tri[j, j] = head[:-1], alpha
+        col[:] = u
+        if nrm and j + 1 < len(work):
+            coefs = comm.allreduce_sum_array([u @ w for w in work[j + 1:]])
+            work[j + 1:] -= 2.0 * np.outer(coefs, u)
+        flags.append(not nrm)
+    upper, rotation, outcome = _triangularize(tri, epsilon)
     stack = HouseholderStack([InterfaceVector(layout, comm, u) for u in work],
                              upper, flags, rotation)
     return stack, outcome
@@ -245,75 +229,50 @@ def apply_qt(stack: HouseholderStack, r: InterfaceVector) -> np.ndarray:
 
 
 class StepFactor:
-    """The Householder factor of one time step's F = [H, r_0, ..., r_k]:
-    its history columns, then its raw residuals, oldest first.
+    """The Householder factor of F, every raw residual of a solve.
 
-    One Householder pass factors the history with the first residual;
-    ``append`` adds each later residual, and ``factor`` solves for any
-    choice of secant columns on the replicated R_F = Q_F^T F.  The
-    reflectors are kept in compact WY form, Q_F = I - Y T Y^T (Schreiber
-    and Van Loan 1989); T and the head of Y, its pivot rows, are
-    replicated.
+    ``append`` makes each residual F's newest column; ``factor`` solves
+    for columns F_i - F_j, the pairs (i, j), on the replicated R_F =
+    Q_F^T F, F's column 0 being zero.  Q_F = I - Y T Y^T in compact WY
+    form (Schreiber and Van Loan 1989), T and Y's pivot rows replicated;
+    ``compact`` rebuilds it from the columns later steps can use.
     """
 
-    def __init__(self, history: list[InterfaceVector], r: InterfaceVector):
-        layout, comm, k = r.layout, r.comm, len(history)
-        if k > layout.global_size:
-            raise ValueError("%d columns exceed the %d interface rows"
-                             % (k, layout.global_size))
-        self.layout, self.comm, self.history = layout, comm, k
-        # one pass factors [H, r_0]; if H fills the interface, r_0 has no
-        # pivot row left and its column is its whole projection
-        work = np.array([col.local for col in history] + [r.local])
-        ncols = min(k + 1, layout.global_size)
-        self._upper, self._flags = _householder(layout, comm, work, ncols)
-        if ncols == k:
-            self._upper = np.column_stack([
-                self._upper, comm.allreduce_sum_array(
-                    _head_share(layout, comm.rank, work[k], k))])
-        self._y = [work[:ncols]]  # reflector rows, then one per append
-        # T and the head of Y ride on the first append's reduction, so a
-        # step that makes a single proposal never builds them
-        self._t = self._y_head = None
+    _CHUNK = 4096  # interface rows ``compact`` rewrites at a time
+    reflectors = property(lambda self: len(self._y))
 
-    def append(self, r: InterfaceVector) -> None:
-        """Make r, the step's newest residual, F's last column.  Two
-        reductions: one projects r through Y, one builds the reflector
-        and carries Y's products with it, for T's new column.  Once F has
-        a column per interface row, one: r's rows ride with Y r, and the
-        head of Y projects them."""
-        layout, comm, n = self.layout, self.comm, len(self._flags)
-        full = n == layout.global_size
-        parts = [np.concatenate([y @ r.local for y in self._y])]
-        if full:
-            parts.append(_head_share(layout, comm.rank, r.local, n))
-        if self._t is None:
-            # one block so far: its Gram matrix and head rows, for T
-            parts += [(self._y[0] @ self._y[0].T).ravel(),
-                      _head_share(layout, comm.rank, self._y[0], n).ravel()]
-        reduced = comm.allreduce_sum_array(np.concatenate(parts))
-        if self._t is None:
-            gram, head = reduced[-2 * n * n:].reshape(2, n, n)
-            # T^-1 = I/2 + strict upper part of Y^T Y (Joffrain et al.,
-            # ACM TOMS 32, 2006); zero reflectors take part harmlessly
-            self._t = scipy.linalg.solve_triangular(
-                np.triu(gram, 1) + 0.5 * np.eye(n), np.eye(n))
-            self._y_head = head
-        coefs = self._t.T @ reduced[:n]
-        if full:
-            self._upper = np.column_stack(
-                [self._upper, reduced[n:2 * n] - self._y_head.T @ coefs])
-            return
-        col, done = r.local.copy(), 0
-        for y in self._y:
-            col -= coefs[done:done + len(y)] @ y
-            done += len(y)
+    def __init__(self):
+        self._y: list[InterfaceVector] = []  # unit reflectors, or zero
+        self._t = self._y_head = np.zeros((0, 0))
+        self._upper = np.zeros((0, 1))
+
+    def append(self, r: InterfaceVector) -> int:
+        """Make r F's newest column; returns its index.  Two reductions:
+        one projects r through Y, one builds the reflector and carries Y's
+        products with it, for T's new column.  One on an empty factor,
+        and one once F has a reflector per interface row: r's rows ride
+        with Y^T r and the head of Y projects them."""
+        self.layout, self.comm = layout, comm = r.layout, r.comm
+        col, n = r.local, len(self._y)
+        if n:
+            full = n == layout.global_size
+            reduced = comm.allreduce_sum_array(np.concatenate(
+                ([y.local @ col for y in self._y],
+                 _head_share(layout, comm.rank, col, n if full else 0))))
+            coefs = self._t.T @ reduced[:n]
+            if full:
+                self._upper = np.column_stack(
+                    [self._upper, reduced[n:] - self._y_head.T @ coefs])
+                return self._upper.shape[1] - 1
+            col = col.copy()
+            for coef, y in zip(coefs, self._y):
+                col -= coef * y.local
         before = _rows_before(layout, comm.rank, n)
+        owns = before < len(col) and layout.starts[comm.rank] + before == n
         u, alpha, nrm, head, extra = _reflector_from_column(
-            layout, comm, col, n, np.concatenate(
-                [y[:, before:] @ col[before:] for y in self._y]
-                + [_head_share(layout, comm.rank, y, n + 1)[:, n]
-                   for y in self._y]))
+            layout, comm, col, n, np.array(
+                [y.local[before:] @ col[before:] for y in self._y]
+                + [y.local[before] if owns else -0.0 for y in self._y]))
         # Y u, from Y times col from the pivot down and Y's pivot row
         y_row = extra[n:]
         y_u = (extra[:n] - alpha * y_row) / nrm if nrm else np.zeros(n)
@@ -323,38 +282,89 @@ class StepFactor:
         self._y_head = _bordered(self._y_head, y_row,
                                  (head[-1] - alpha) / nrm if nrm else 0.0)
         self._upper = _bordered(self._upper, head[:-1], alpha)
-        self._y.append(u[None, :])
-        self._flags.append(not nrm)
+        self._y.append(InterfaceVector(layout, comm, u))
+        return self._upper.shape[1] - 1
 
-    def factor(self, current: int, k_h: int, epsilon: float):
-        """Solve for the secant columns r_{k-i} - r_k, i = 1..current,
-        then the first k_h history columns, against r_k, F's last column.
-        Local: triangularize R_F E under the filter, where E picks those
-        columns of F.  Returns (stack, outcome, first q rows of the
-        rotated R_F column of r_k)."""
-        upper = self._upper
-        newest = upper.shape[1] - 1
-        if not 0 <= current <= newest - self.history \
-                or not 0 <= k_h <= self.history:
-            raise ValueError("F holds %d history columns and %d residuals"
-                             % (self.history, newest - self.history + 1))
-        r_k, earlier = upper[:, newest], upper[:, newest - current:newest]
-        # R_F's columns carry rounding of a few ulps per reflector: a
-        # difference, or a projection of r_k, below that floor is zero,
-        # as it is when the residuals themselves are equal
-        floor = 4.0 * upper.shape[1] * np.finfo(np.float64).eps
-        diffs = (earlier - r_k[:, None])[:, ::-1]
-        diffs[:, np.linalg.norm(diffs, axis=0) <= floor * np.maximum(
-            np.linalg.norm(earlier, axis=0)[::-1], np.linalg.norm(r_k))] = 0.0
-        m = np.hstack([diffs, upper[:, :k_h]])
-        tri, rotation, outcome = _triangularize(m, epsilon, not current)
-        head = r_k[:len(tri)] if rotation is None else rotation @ r_k
-        if np.linalg.norm(head) <= floor * np.linalg.norm(r_k):
+    def _floor(self) -> float:
+        # R_F's columns carry rounding of a few ulps per reflector
+        return 4.0 * len(self._y) * np.finfo(np.float64).eps
+
+    def _pick(self, columns) -> np.ndarray:
+        """R_F E for the pairs; a difference within the floor is zero,
+        as it is when the residuals themselves are equal."""
+        upper, pairs = self._upper, np.array(columns, dtype=int).reshape(-1, 2)
+        if pairs.size and not 0 <= pairs.min() <= pairs.max() < upper.shape[1]:
+            raise ValueError("F has no column %r" % (columns,))
+        plus, minus = upper[:, pairs[:, 0]], upper[:, pairs[:, 1]]
+        diffs = plus - minus
+        norms = [np.sqrt(np.add.reduce(m * m)) for m in (diffs, plus, minus)]
+        diffs[:, norms[0] <= self._floor() * np.maximum(*norms[1:])] = 0.0
+        return diffs
+
+    def factor(self, columns, epsilon: float):
+        """Solve for the pairs ``columns`` against F's newest column.
+        Local: triangularize R_F E under the filter.  Returns (stack,
+        outcome, first q rows of the rotated R_F column of F's newest),
+        a projection within the floor being zero.  The stack shares F's
+        reflectors, which the next rebuilding ``compact`` rewrites."""
+        if len(columns) > self.layout.global_size:
+            raise ValueError("%d columns exceed the %d interface rows"
+                             % (len(columns), self.layout.global_size))
+        tri, rotation, outcome = _triangularize(self._pick(columns), epsilon)
+        r_k = self._upper[:, -1]
+        head = rotation @ r_k
+        if np.linalg.norm(head) <= self._floor() * np.linalg.norm(r_k):
             head = np.zeros_like(head)
-        reflectors = [InterfaceVector(self.layout, self.comm, u)
-                      for y in self._y for u in y]
-        return (HouseholderStack(reflectors, tri, list(self._flags),
+        return (HouseholderStack(list(self._y), tri, [False] * len(self._y),
                                  rotation), outcome, head)
+
+    def compact(self, columns) -> dict:
+        """Keep of F what the pairs ``columns`` need, with no
+        communication; returns each pair's new pair.  With up to twice as
+        many reflectors as distinct pairs only R_F's dead columns go;
+        beyond, F becomes the pairs' columns (none: F starts empty).
+        With R_F E = Q_s R_s, B = Q_F [Q_s; 0] is (I - Y'T'Y'^T)[S; 0]
+        for the LU B - [S; 0] = Y'U and T' = -U S Y'_head^-T (Ballard et
+        al., JPDC 85, 2015), and R_F becomes S R_s."""
+        live = list(dict.fromkeys(columns))
+        if len(self._y) <= 2 * len(live):
+            where = {i: k for k, i in enumerate(sorted({0}.union(*live)))}
+            self._upper = self._upper[:, list(where)]
+            return {pair: (where[pair[0]], where[pair[1]]) for pair in live}
+        q_s, r_s = np.linalg.qr(self._pick(live))
+        # B = [Q_s; 0] - Y G, whose top q rows every rank holds: their
+        # LU without pivoting, each sign in S making its pivot >= 1
+        g, n, q = self._t @ (self._y_head @ q_s), len(self._y), len(live)
+        lu, signs = q_s[:q] - self._y_head[:, :q].T @ g, np.empty(q)
+        for j in range(q):
+            signs[j] = -copysign(1.0, lu[j, j])
+            lu[j, j] -= signs[j]
+            lu[j + 1:, j] /= lu[j, j]
+            lu[j + 1:, j + 1:] -= np.outer(lu[j + 1:, j], lu[j, j + 1:])
+        lower, upper = np.tril(lu, -1) + np.eye(q), np.triu(lu)
+        t = -scipy.linalg.solve_triangular(
+            lower, (upper * signs).T, lower=True, unit_diagonal=True).T
+        # Y' D, D = sqrt(diag(T') / 2), are unit reflectors, Q_F their
+        # product, with T = D^-1 T' D^-1
+        d = np.sqrt(np.diagonal(t) / 2.0)
+        self._t, self._y_head = t / np.outer(d, d), d[:, None] * lower.T
+        start, count = (self.layout.starts[self.comm.rank],
+                        self.layout.counts[self.comm.rank])
+        # below its head, the LU's unit triangle, Y' = B U^-1
+        #     = [Q_s; 0] U^-1 - Y G U^-1, written over Y by row chunks
+        q_u, g_u = (scipy.linalg.solve_triangular(upper, m.T, trans="T")
+                    for m in (q_s, g))
+        for a in range(0, count if q else 0, self._CHUNK):
+            rows = np.arange(start + a, start + min(a + self._CHUNK, count))
+            chunk = -g_u @ np.array([y.local[a:a + len(rows)]
+                                     for y in self._y])
+            chunk[:, rows < n] += q_u[:, rows[rows < n]]
+            chunk[:, rows < q] = lower[rows[rows < q]].T
+            for y, row, scale in zip(self._y, chunk, d):
+                y.local[a:a + len(rows)] = scale * row
+        del self._y[q:]
+        self._upper = np.column_stack([np.zeros(q), signs[:, None] * r_s])
+        return {pair: (j + 1, 0) for j, pair in enumerate(live)}
 
 
 def _bordered(a: np.ndarray, column: np.ndarray, corner: float) -> np.ndarray:

@@ -189,7 +189,7 @@ def test_criterion_6_duplicated_column_filtered_or_reported_singular():
         first = coupler.run_time_step(problem)
         assert first.converged
         accel = coupler.accelerator
-        accel.history.push(accel.history.v_columns(),
+        accel.history.push(accel.history.columns(),
                            accel.history.w_columns())
         second = coupler.run_time_step(problem)
         assert second.converged

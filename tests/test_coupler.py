@@ -1,5 +1,7 @@
 """Coupling loop, accelerators, and the per-step bookkeeping."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -66,10 +68,10 @@ def test_history_store_is_newest_first():
         return InterfaceVector(layout, comm, np.array([value]))
 
     store = HistoryStore(2)
-    store.push([col(1.0)], [col(10.0)])
-    store.push([col(2.0)], [col(20.0)])
-    store.push([col(3.0)], [col(30.0)])  # evicts the oldest block
-    assert [c.local[0] for c in store.v_columns()] == [3.0, 2.0]
+    store.push([(1, 0)], [col(10.0)])
+    store.push([(2, 0)], [col(20.0)])
+    store.push([(3, 0)], [col(30.0)])  # evicts the oldest block
+    assert [i for i, _ in store.columns()] == [3, 2]
     assert [c.local[0] for c in store.w_columns()] == [30.0, 20.0]
 
 
@@ -77,8 +79,8 @@ def test_history_store_capacity_zero_ignores_pushes():
     layout, comm = single_rank(1)
     column = InterfaceVector(layout, comm, np.array([1.0]))
     store = HistoryStore(0)
-    store.push([column], [column])
-    assert store.v_columns() == [] and store.w_columns() == []
+    store.push([(1, 0)], [column])
+    assert store.columns() == [] and store.w_columns() == []
 
 
 # -- quasi-Newton update ------------------------------------------------
@@ -144,36 +146,110 @@ def test_history_reuse_shortens_later_steps():
     assert mean(fast) < mean(slow)
 
 
-def test_history_factored_once_per_step(monkeypatch):
-    real_init, real_append = qr.StepFactor.__init__, qr.StepFactor.append
-    made, appends = [], []  # history columns of each factor; appends
+def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
+    # team [1, 2, 6], p = 9: one factor serves the whole solve; the
+    # first proposal of every step after the first costs one append, 2
+    # allreduces, or 1 once F has a reflector per row; compaction and
+    # ``factor`` cost none.  Ranking 2 rebuilds F at step starts (blocks
+    # of 2 pairs), ranking 5 keeps it full
+    made, calls = [], {}
 
-    def counted_init(self, history, r):
-        made.append(len(history))
-        real_init(self, history, r)
+    def counted(name, real):
+        def wrapper(self, *args):
+            r = {"append": 0, "propose": 2}.get(name)
+            comm = getattr(self, "comm", None) if r is None else args[r].comm
+            if comm is None:  # the first step start: F is still empty
+                return real(self, *args)
+            before = dict(comm.counters)
+            out = real(self, *args)
+            spent = {k: comm.counters[k] - before[k] for k in before}
+            factor = self._factor if name == "propose" else self
+            calls.setdefault(comm.rank, []).append(
+                (name, spent, factor.reflectors))
+            return out
+        return wrapper
 
-    def counted_append(self, r):
-        appends.append(r)
-        real_append(self, r)
+    real_init = qr.StepFactor.__init__
+
+    def counted_init(self):
+        made.append(threading.current_thread().name)
+        real_init(self)
 
     monkeypatch.setattr(qr.StepFactor, "__init__", counted_init)
-    monkeypatch.setattr(qr.StepFactor, "append", counted_append)
-    problem = problems.AddedMassPiston(32)
-    layout, comm = single_rank(32)
-    coupler = Coupler(comm, layout,
-                      CouplerConfig(histories=2, ranking=5, epsilon=1e-9))
-    for step in range(6):
-        k_h = len(coupler.accelerator.history.v_columns())
-        assert (k_h > 0) == (step > 0)
+    for name in ("append", "compact", "factor"):
+        monkeypatch.setattr(qr.StepFactor, name,
+                            counted(name, getattr(qr.StepFactor, name)))
+    monkeypatch.setattr(cp.CiqnAccelerator, "propose",
+                        counted("propose", cp.CiqnAccelerator.propose))
+    problem = problems.make_problem("linear", seed=0, dim=9)
+    none = {"allreduce": 0, "broadcast": 0, "allgather": 0}
+    for ranking in (2, 5):
         made.clear()
-        appends.clear()
-        record = coupler.run_time_step(problem)
-        assert record.converged and record.iterations >= 3
-        # one factor per step, built at its first proposal from the
-        # history block and r_0; every later proposal appends its
-        # residual to it
-        assert made == [k_h]
-        assert len(appends) == record.iterations - 2
+        calls.clear()
+        config = CouplerConfig(histories=2, ranking=ranking, epsilon=1e-9,
+                               tol=1e-8)
+        result = solve_coupled(problem, config, 6, counts=[1, 2, 6])
+        assert all(record.converged for record in result.records)
+        assert sorted(made) == ["rank0", "rank1", "rank2"]
+        for rank_calls in calls.values():
+            # reflectors after each call: an append adds one unless F
+            # was full; a compaction that rebuilds F leaves fewer
+            steps, width, rebuilt = [[]], 0, 0
+            for name, spent, after in rank_calls:
+                if name in ("compact", "factor"):
+                    assert spent == none
+                    if name == "compact":
+                        steps.append([])
+                        rebuilt += after < width
+                elif name == "append":
+                    # 1 on an empty or a full factor
+                    assert spent == dict(none,
+                                         allreduce=1 + (0 < width < 9))
+                    appended = spent, width == 9
+                else:
+                    assert spent == appended[0]  # the proposal's append
+                    steps[-1].append(appended[1])
+                width = after
+            assert len(steps) == len(result.records)
+            assert [step[0] for step in steps[1:]] == [ranking == 5] * 5
+            assert any(full for step in steps for full in step)
+            assert (rebuilt > 0) == (ranking == 2)
+
+
+def test_carried_factor_stays_bounded(monkeypatch):
+    # piston dim 64, histories=2, 60 steps: after the step start's
+    # compaction and after every append, the factor has at most twice as
+    # many reflectors as the history has live pairs, plus the step's
+    # appends; the history holds index pairs and W vectors, no V vectors
+    widths = []
+
+    def counted(real):
+        def wrapper(self, *args):
+            out = real(self, *args)
+            widths.append(self.reflectors)
+            return out
+        return wrapper
+
+    for name in ("append", "compact"):
+        monkeypatch.setattr(qr.StepFactor, name,
+                            counted(getattr(qr.StepFactor, name)))
+    problem = problems.make_problem("piston", dim=64)
+    layout, comm = single_rank(64)
+    coupler = Coupler(comm, layout, CouplerConfig(histories=2, ranking=5,
+                                                  epsilon=1e-9, tol=1e-8))
+    history = coupler.accelerator.history
+    for step in range(60):
+        live = len(set(history.columns()))
+        widths.clear()
+        assert coupler.run_time_step(problem).converged
+        for appends, width in enumerate(widths[step > 0:]):
+            assert width <= 2 * live + appends + 1, (step, widths)
+        if step:
+            assert widths[0] <= 2 * live, (step, widths)
+        columns, w_columns = history.columns(), history.w_columns()
+        assert all(type(i) is int for pair in columns for i in pair)
+        assert len(w_columns) == len(columns)
+        assert all(isinstance(w, InterfaceVector) for w in w_columns)
 
 
 # criterion 9's two cases on one rank, with their iteration records
@@ -205,13 +281,13 @@ def test_only_a_converged_step_pushes_its_block():
                                             tol=1e-12, max_iters=3))
     capped = c.run_time_step(problem)
     assert not capped.converged and capped.iterations == 3
-    assert c.accelerator.history.v_columns() == []
+    assert c.accelerator.history.columns() == []
     c.config = CouplerConfig(histories=3, ranking=5, tol=1e-12,
                              max_iters=20)
     done = c.run_time_step(problem)
     assert done.converged and done.iterations > 2
     # one block: the last proposal's columns, one per earlier iterate
-    assert len(c.accelerator.history.v_columns()) == done.iterations - 2
+    assert len(c.accelerator.history.columns()) == done.iterations - 2
 
 
 @pytest.mark.parametrize("name", cp.ACCELERATORS)
@@ -225,7 +301,7 @@ def test_finish_step_returns_the_steps_dropped_columns(name):
     c = Coupler(comm, layout, config, accel)
     c.run_time_step(problem)
     if name == "ciqn":
-        accel.history.push(accel.history.v_columns(),
+        accel.history.push(accel.history.columns(),
                            accel.history.w_columns())
     record = c.run_time_step(problem)
     assert record.converged
@@ -357,7 +433,7 @@ def test_one_allreduce_per_iteration_on_a_spanning_team(name):
     if name == "ciqn":
         # the factor's reductions come on top of the residual's one
         assert iterations == 30
-        expected = {"allreduce": 96, "broadcast": 0, "allgather": 31}
+        expected = {"allreduce": 69, "broadcast": 0, "allgather": 31}
     else:
         expected = {"allreduce": iterations, "broadcast": 0,
                     "allgather": iterations + 1}

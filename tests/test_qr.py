@@ -1,11 +1,14 @@
 """Compact Householder factorization and the least-squares pipeline."""
 
 import time
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
 from ciqn import qr
+from ciqn.coupler import HistoryStore
 from ciqn.field import gather
 from ciqn.qr import (EmptySecantSpaceError, HouseholderStack,
                      SingularUpperError, StepFactor, apply_qt,
@@ -313,11 +316,14 @@ def test_reconstruct_recovers_columns():
 # -- collective shape ---------------------------------------------------
 
 def test_collectives_per_kernel_on_spanning_pivots():
-    # pivot rows 0..3 sit on all three ranks; nothing is broadcast
+    # pivot rows 0..3 sit on all three ranks; nothing is broadcast;
+    # ``decompose`` pays as much when the filter drops a column
     rng = np.random.default_rng(31)
     k = 4
     dense = random_tall(9, k, 10.0, rng)
     r_full = rng.standard_normal(9)
+    near = np.column_stack([dense,
+                            dense[:, 0] + 1e-13 * rng.standard_normal(9)])
 
     def delta(comm, before):
         return {kind: comm.counters[kind] - before[kind]
@@ -333,12 +339,17 @@ def test_collectives_per_kernel_on_spanning_pivots():
         before = dict(comm.counters)
         back_substitute(stack, -head, comm, layout)
         made.append(delta(comm, before))
+        before = dict(comm.counters)
+        _, outcome = decompose(dense_columns(layout, comm, near), 1e-9)
+        made.append((delta(comm, before), outcome.dropped))
         return made, sum(not flag for flag in stack.identity_flags)
 
-    for (dec, qt, back), live in on_team([1, 2, 6], body):
+    for (dec, qt, back, drop), live in on_team([1, 2, 6], body):
         assert live == k
         assert dec == {"allreduce": 2 * k - 1, "broadcast": 0,
                        "allgather": 0}
+        assert drop == ({"allreduce": 2 * (k + 1) - 1, "broadcast": 0,
+                         "allgather": 0}, [k])
         assert qt == {"allreduce": live + 1, "broadcast": 0, "allgather": 0}
         assert back == {"allreduce": 0, "broadcast": 0, "allgather": 0}
 
@@ -403,13 +414,46 @@ def gather_columns(columns):
                       for piece in pieces])
 
 
+def check_against_dense(where, offered, r_k, kept, reference_kept, diag,
+                        lam):
+    """The kept set, |diag U| and lam of one proposal against numpy on
+    the dense offered columns."""
+    assert kept == reference_kept, where
+    if not kept:
+        return
+    chosen = offered[:, kept]
+    scale = np.linalg.norm(chosen)
+    # |U_jj| is the distance of column j from the span of the columns
+    # before it; a near-dependent kept set makes that span, and so the
+    # distance, sensitive to rounding
+    kappa = np.linalg.cond(chosen)
+    reference = np.abs(np.diag(np.linalg.qr(chosen, mode="r")))
+    # (a zero column, kept with the filter off, has no condition number)
+    assert np.max(np.abs(diag - reference)) \
+        <= (max(1e-12, 1e-15 * kappa) * scale if scale else 0.0), where
+    if kappa < 1e12:
+        assert lam is not None, where
+    if lam is not None:
+        ref, *_ = np.linalg.lstsq(chosen, -r_k, rcond=None)
+        err = np.linalg.norm(lam - ref) / np.linalg.norm(ref)
+        assert err <= max(1e-10, 1e-15 * kappa ** 2), where
+
+
+def solved(stack, head, comm, layout):
+    try:
+        return back_substitute(stack, -head, comm, layout)
+    except SingularUpperError:
+        return None
+
+
 def test_step_factor_matches_dense_reference():
     # whole steps of appends: at every proposal the kept set, |diag U|,
     # reconstruction and lam of the coupler's choice of columns (the
     # last ``ranking`` differences r_{k-i} - r_k, then the history cut
     # at the interface size) against numpy on the dense columns, on
     # partitions that put pivot rows on several ranks and behind an
-    # empty one; the one-shot ``decompose`` keeps the same columns
+    # empty one; the one-shot ``decompose`` keeps the same columns.  The
+    # history columns are F's first columns, each the pair (j, 0)
     started = time.perf_counter()
     checked = 0
     for seed in DENSE_SEEDS:
@@ -427,24 +471,24 @@ def test_step_factor_matches_dense_reference():
             cases += [(k, now, k_h, offered, epsilon) for epsilon in EPSILONS]
 
         def body(comm, layout):
-            step = StepFactor(dense_columns(layout, comm, history),
-                              vector(layout, comm, residuals[:, 0]))
+            step = StepFactor()
+            for column in dense_columns(layout, comm, history):
+                step.append(column)
             out = []
             for k, now, k_h, offered, epsilon in cases:
-                if k and epsilon == EPSILONS[0]:
-                    step.append(vector(layout, comm, residuals[:, k]))
+                if epsilon == EPSILONS[0]:
+                    newest = step.append(vector(layout, comm, residuals[:, k]))
                 if not now + k_h:
                     continue
-                stack, outcome, head = step.factor(now, k_h, epsilon)
+                stack, outcome, head = step.factor(
+                    [(newest - i, newest) for i in range(1, now + 1)]
+                    + [(j + 1, 0) for j in range(k_h)], epsilon)
                 _, direct = decompose(dense_columns(layout, comm, offered),
                                       epsilon)
                 rebuilt = gather_columns(reconstruct(stack))
-                try:
-                    lam = back_substitute(stack, -head, comm, layout)
-                except SingularUpperError:
-                    lam = None
                 out.append((outcome.kept, direct.kept,
-                            np.abs(np.diag(stack.upper)), rebuilt, lam))
+                            np.abs(np.diag(stack.upper)), rebuilt,
+                            solved(stack, head, comm, layout)))
             return out
 
         cases_run = [case for case in cases if case[1] + case[2]]
@@ -461,105 +505,186 @@ def test_step_factor_matches_dense_reference():
                     in zip(cases_run, kept_dense, ranks[0]):
                 where = "seed %d counts %r proposal %d epsilon %g" % (
                     seed, counts, k, epsilon)
-                assert kept == reference_kept, where
                 assert direct == kept, where
                 chosen = offered[:, kept]
-                scale = np.linalg.norm(chosen)
-                assert np.linalg.norm(rebuilt - chosen) <= 1e-12 * scale, \
-                    where
-                # |U_jj| is the distance of column j from the span of the
-                # columns before it; a near-dependent kept set makes that
-                # span, and so the distance, sensitive to rounding
-                kappa = np.linalg.cond(chosen)
-                reference = np.abs(np.diag(np.linalg.qr(chosen, mode="r")))
-                assert np.max(np.abs(diag - reference)) \
-                    <= max(1e-12, 1e-15 * kappa) * scale, where
-                if kappa < 1e12:
-                    assert lam is not None, where
-                if lam is not None:
-                    ref, *_ = np.linalg.lstsq(chosen, -residuals[:, k],
-                                              rcond=None)
-                    err = np.linalg.norm(lam - ref) / np.linalg.norm(ref)
-                    assert err <= max(1e-10, 1e-15 * kappa ** 2), where
+                assert np.linalg.norm(rebuilt - chosen) \
+                    <= 1e-12 * np.linalg.norm(chosen), where
+                check_against_dense(where, offered, residuals[:, k], kept,
+                                    reference_kept, diag, lam)
                 checked += 1
     elapsed = time.perf_counter() - started
     assert checked >= len(DENSE_SEEDS) * 3 * len(EPSILONS)
     assert elapsed < 20.0, "took %.1f s, budget 20 s" % elapsed
 
 
-def test_step_factor_collectives_on_spanning_pivots():
-    # team [1, 2, 6], p = 9: a step's first proposal factors [H, r_0]
-    # in one pass, k_H + live reflectors + 1 reductions; every later
-    # proposal appends its residual with 2, whatever the columns chosen
-    # from F and the filter do, and with 1 once F has a column per row;
-    # choosing columns and filtering them cost nothing; ``decompose``
-    # pays 2k - 1 for k columns, with a drop as without
-    rng = np.random.default_rng(37)
-    p = 9
-    dense = random_tall(p, 5, 10.0, rng)
-    residuals = rng.standard_normal((p, p + 2))
-    residuals[:, 3] = residuals[:, 1]  # r_1 - r_3 = 0: a filter drop
-    near = dense[:, 0] + 1e-13 * rng.standard_normal(p)
+CARRIED_SEEDS = range(6)
+CARRIED_STEPS = 10
 
-    def body(comm, layout):
-        def spent(call):
-            before = comm.counters["allreduce"]
-            out = call()
-            assert comm.counters["broadcast"] == comm.counters["allgather"] \
-                == 0
-            return comm.counters["allreduce"] - before, out
 
-        cols = dense_columns(layout, comm, dense)
-        rs = dense_columns(layout, comm, residuals)
-        made = {}
-        for k_h in (0, 1, 3, 5):
-            made["first", k_h], step = spent(
-                lambda: StepFactor(cols[:k_h], rs[0]))
-            flags = step.factor(0, k_h, 1e-9)[0].identity_flags if k_h else []
-            made["live", k_h] = sum(not f for f in flags[:k_h])
-            for k in range(1, p + 2 - k_h):
-                made["append", k_h, k], _ = spent(
-                    lambda: step.append(rs[k]))
-                for now in range(1, min(k, 3) + 1):
-                    for h in {0, min(k_h, p - now)}:
-                        made["factor", k_h, k, now, h], (_, outcome, _) = \
-                            spent(lambda: step.factor(now, h, 1e-9))
-                        if k == 3 and now >= 2:
-                            assert 1 in outcome.dropped
-        made["decompose drop"], (_, outcome) = spent(
-            lambda: decompose(cols[:4] + [vector(layout, comm, near)], 1e-9))
-        assert outcome.dropped == [4]
-        return made
+def carried_solve(rng, p):
+    """(capacity, ranking, steps) of a solve for the carried factor.
+    Each step has 1 to 6 residuals (a step of one proposal pushes no
+    block), converges or not, may push its block twice (criterion 6's
+    exact duplicate), and one step, after the third, starts with the
+    history emptied, so the factor has nothing live."""
+    emptied = int(rng.integers(4, CARRIED_STEPS - 2))
+    steps = []
+    for s in range(CARRIED_STEPS):
+        count = int(rng.integers(1, 7))
+        steps.append((some_columns(rng, p, count, True), rng.random() < 0.9,
+                      s == 2 or rng.random() < 0.1, s == emptied))
+    return int(rng.integers(1, 3)), int(rng.integers(1, 6)), steps
 
-    for made in on_team([1, 2, 6], body):
-        for k_h in (0, 1, 3, 5):
-            assert made["live", k_h] == k_h
-            assert made["first", k_h] == k_h + made["live", k_h] + 1 \
-                == 2 * k_h + 1
-            for k in range(1, p + 2 - k_h):
-                # F has k_h + k columns before the append
-                assert made["append", k_h, k] == (2 if k_h + k < p else 1)
-        assert {n for key, n in made.items() if key[0] == "factor"} == {0}
-        assert made["decompose drop"] == 2 * 5 - 1
+
+def carried_proposals(comm, layout, capacity, ranking, steps):
+    """Drive one factor through a whole solve as the coupler does, the
+    history held as pairs with their dense columns in place of W.
+    Returns per proposal and epsilon ((step, proposal), offered, r_k,
+    epsilon, kept, |diag U|, lam, reconstruction), and per step start
+    (reflectors, distinct live pairs, reflectors after the compaction)."""
+    p = layout.global_size
+    factor, store = StepFactor(), HistoryStore(capacity)
+    out, starts = [], []
+    for step, (residuals, converged, twice, emptied) in enumerate(steps):
+        if emptied:
+            store = HistoryStore(capacity)
+        before, live = factor.reflectors, len(set(store.columns()))
+        store.renumber(factor.compact(store.columns()))
+        starts.append((before, live, factor.reflectors))
+        log = deque(maxlen=ranking + 1)
+        for k, r_k in enumerate(residuals.T):
+            newest = factor.append(vector(layout, comm, r_k))
+            log.appendleft((newest, r_k))
+            current = min(len(log) - 1, p)
+            pairs = store.columns()[:p - current]
+            columns = [(log[i][0], newest) for i in range(1, current + 1)]
+            offered = np.column_stack(
+                [log[i][1] - r_k for i in range(1, current + 1)]
+                + store.w_columns()[:len(pairs)] + [np.zeros((p, 0))])
+            for epsilon in EPSILONS:
+                if not columns + pairs:
+                    continue
+                try:
+                    stack, outcome, head = factor.factor(columns + pairs,
+                                                         epsilon)
+                except EmptySecantSpaceError:
+                    out.append(((step, k), offered, r_k, epsilon, [], None,
+                                None, None))
+                    continue
+                out.append(((step, k), offered, r_k, epsilon, outcome.kept,
+                            np.abs(np.diag(stack.upper)),
+                            solved(stack, head, comm, layout),
+                            gather_columns(reconstruct(stack))))
+        if converged and len(log) > 1:
+            (newest, r_k), *past = log
+            block = ([(i, newest) for i, _ in past],
+                     [v - r_k for _, v in past])
+            for _ in range(1 + twice):
+                store.push(*block)
+    return out, starts
+
+
+def test_carried_factor_matches_dense_reference_across_steps():
+    # one factor for a whole solve: at every proposal the kept set,
+    # |diag U| and lam against numpy on the dense columns, through
+    # compactions, histories that age out, a block pushed twice and a
+    # step with nothing live, on the same partitions as above
+    started = time.perf_counter()
+    for seed in CARRIED_SEEDS:
+        rng = np.random.default_rng(100 + seed)
+        p = int(rng.integers(10, 25))
+        solve = carried_solve(rng, p)
+        reference = None
+        for counts in ([p], [1, 2, p - 3], [0, 3, p - 3]):
+            ranks = on_team(counts, lambda comm, layout: carried_proposals(
+                comm, layout, *solve))
+            for other in ranks[1:]:
+                for mine, theirs in zip(ranks[0][0], other[0]):
+                    assert mine[4] == theirs[4]
+                    np.testing.assert_array_equal(mine[5], theirs[5])
+            proposals, starts = ranks[0]
+            # a step start with more than twice as many reflectors as
+            # live pairs rebuilds F from them, and with none live F
+            # restarts empty; otherwise the reflectors stay
+            for n, live, after in starts:
+                assert after == (live if n > 2 * live else n), starts
+            assert sum(n > 2 * live > 0 for n, live, _ in starts) >= 2
+            assert any(n and not live for n, live, _ in starts[1:])
+            if reference is None:
+                reference = [dense_filter(offered, epsilon)
+                             for _, offered, _, epsilon, *_ in proposals]
+            for ((step, k), offered, r_k, epsilon, kept, diag, lam,
+                 rebuilt), ref_kept in zip(proposals, reference):
+                where = "seed %d counts %r step %d proposal %d epsilon %g" \
+                    % (seed, counts, step, k, epsilon)
+                check_against_dense(where, offered, r_k, kept, ref_kept,
+                                    diag, lam)
+                if kept:
+                    # the reflectors, unit ones after compactions too,
+                    # rebuild the kept columns
+                    chosen = offered[:, kept]
+                    assert np.linalg.norm(rebuilt - chosen) \
+                        <= 1e-12 * np.linalg.norm(chosen), where
+    elapsed = time.perf_counter() - started
+    assert elapsed < 20.0, "took %.1f s, budget 20 s" % elapsed
+
+
+def test_compaction_is_local_and_rewrites_y_in_place():
+    # rebuilding F makes no collective on a team whose pivot rows span
+    # three ranks, and on a wide interface it holds a chunk of rows at a
+    # time, never a second copy of Y; F then still solves for its pairs
+    rng = np.random.default_rng(41)
+
+    def rebuild(comm, layout, residuals):
+        step = StepFactor()
+        for column in dense_columns(layout, comm, residuals):
+            step.append(column)
+        before = dict(comm.counters)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        renamed = step.compact([(1, 3), (2, 3), (5, 0)])
+        extra = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.stop()
+        assert comm.counters == before
+        assert step.reflectors == 3
+        norms = np.linalg.norm(gather_columns(
+            step.factor([(1, 0)], 0.0)[0].reflectors), axis=0)
+        newest = step.append(vector(layout, comm, residuals[:, 0]))
+        stack, _, head = step.factor(
+            [renamed[1, 3], renamed[2, 3], renamed[5, 0], (newest, 0)], 0.0)
+        return extra, norms, back_substitute(stack, -head, comm, layout)
+
+    for counts in ([9], [1, 2, 6], [8 * 4096 + 5]):
+        p = sum(counts)
+        residuals = rng.standard_normal((p, 8))
+        chosen = np.column_stack([residuals[:, 0] - residuals[:, 2],
+                                  residuals[:, 1] - residuals[:, 2],
+                                  residuals[:, 4], residuals[:, 0]])
+        reference, *_ = np.linalg.lstsq(chosen, -residuals[:, 0], rcond=None)
+        for extra, norms, lam in on_team(
+                counts, lambda comm, layout: rebuild(comm, layout, residuals)):
+            np.testing.assert_allclose(norms, 1.0, rtol=1e-14)
+            np.testing.assert_allclose(lam, reference, atol=1e-10)
+            if p > 4096:
+                # Y is 8 reflectors of p rows
+                assert extra < 8 * p * 8 / 2, extra
 
 
 def test_step_factor_rejects_history_it_has_not_factored():
-    # the secant columns come from F: no more history columns than it
-    # holds, no more differences than it has earlier residuals, and no
-    # more history than the interface has rows
+    # the secant columns come from F: no pair naming a column it does
+    # not hold yet, and no more columns than the interface has rows
     layout, comm = single_rank(6)
     cols = dense_columns(layout, comm,
                          random_tall(6, 3, 10.0, np.random.default_rng(3)))
-    r = vector(layout, comm, np.ones(6))
-    step = StepFactor(cols[:2], r)
-    step.factor(0, 2, 0.0)
+    step = StepFactor()
+    first, newest = step.append(cols[0]), step.append(cols[1])
+    step.factor([(first, newest), (first, 0)], 0.0)
     with pytest.raises(ValueError):
-        step.factor(0, 3, 0.0)
+        step.factor([(newest + 1, newest)], 0.0)
     with pytest.raises(ValueError):
-        step.factor(1, 0, 0.0)
+        step.factor([(-1, newest)], 0.0)
     step.append(cols[2])
-    step.factor(1, 2, 0.0)
+    step.factor([(newest + 1, newest)], 0.0)
     with pytest.raises(ValueError):
-        step.factor(2, 0, 0.0)
-    with pytest.raises(ValueError):
-        StepFactor(cols * 3, r)
+        step.factor([(first, 0)] * 7, 0.0)
