@@ -216,6 +216,51 @@ def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
             assert (rebuilt > 0) == (ranking == 2)
 
 
+def test_history_factored_once_per_step(monkeypatch):
+    # each residual enters the solve's one factor once, by an append at
+    # its step's proposal; a later step starts by compacting F and
+    # reuses the history's columns from it, never factoring them again
+    real_init, real_append = qr.StepFactor.__init__, qr.StepFactor.append
+    real_compact = qr.StepFactor.compact
+    made, appends, compactions = [], [], []
+
+    def counted_init(self):
+        made.append(self)
+        real_init(self)
+
+    def counted_append(self, r):
+        appends.append(r)
+        return real_append(self, r)
+
+    def counted_compact(self, columns):
+        compactions.append(list(columns))
+        return real_compact(self, columns)
+
+    monkeypatch.setattr(qr.StepFactor, "__init__", counted_init)
+    monkeypatch.setattr(qr.StepFactor, "append", counted_append)
+    monkeypatch.setattr(qr.StepFactor, "compact", counted_compact)
+    problem = problems.AddedMassPiston(32)
+    layout, comm = single_rank(32)
+    coupler = Coupler(comm, layout,
+                      CouplerConfig(histories=2, ranking=5, epsilon=1e-9))
+    assert len(made) == 1
+    for step in range(6):
+        history = coupler.accelerator.history.columns()
+        k_h = len(history)
+        assert (k_h > 0) == (step > 0)
+        appends.clear()
+        compactions.clear()
+        record = coupler.run_time_step(problem)
+        assert record.converged and record.iterations >= 3
+        # one factor for the solve; the step start compacts it for the
+        # history's pairs; every proposal, the first included, appends
+        # its residual and nothing else
+        assert len(made) == 1
+        assert compactions == [history]
+        assert len(appends) == record.iterations - 1
+        assert len({id(r) for r in appends}) == len(appends)
+
+
 def test_carried_factor_stays_bounded(monkeypatch):
     # piston dim 64, histories=2, 60 steps: after the step start's
     # compaction and after every append, the factor has at most twice as

@@ -671,6 +671,78 @@ def test_compaction_is_local_and_rewrites_y_in_place():
                 assert extra < 8 * p * 8 / 2, extra
 
 
+def test_step_factor_collectives_on_spanning_pivots():
+    # team [1, 2, 6], p = 9: an append pays 2 reductions, 1 on an empty
+    # factor and 1 once F has a reflector per row, also after a
+    # compaction; ``factor``, whatever columns it takes from F and the
+    # filter drops, and ``compact``, keeping F, rebuilding it or
+    # emptying it, pay nothing
+    rng = np.random.default_rng(37)
+    p = 9
+    residuals = rng.standard_normal((p, p + 4))
+    residuals[:, 3] = residuals[:, 1]  # r_1 - r_3 = 0: a filter drop
+
+    def body(comm, layout):
+        def spent(call):
+            before = dict(comm.counters)
+            out = call()
+            return {kind: comm.counters[kind] - before[kind]
+                    for kind in before}, out
+
+        rs = dense_columns(layout, comm, residuals)
+        step, made, widths = StepFactor(), [], []
+
+        def append(r):
+            widths.append(step.reflectors)
+            cost, newest = spent(lambda: step.append(r))
+            made.append(("append", cost))
+            return newest
+
+        for k, r in enumerate(rs[:p + 2]):
+            newest = append(r)
+            for now in range(1, min(k, 3) + 1):
+                pairs = [(newest - i, newest) for i in range(1, now + 1)]
+                cost, (_, outcome, _) = spent(
+                    lambda: step.factor(pairs, 1e-9))
+                made.append(("factor", cost))
+                if k == 3 and now >= 2:
+                    assert 1 in outcome.dropped
+        # 9 reflectors for 5 live pairs: only dead R_F columns go
+        cost, renamed = spent(lambda: step.compact(
+            [(1, 5), (2, 5), (3, 6), (4, 7), (8, 11)]))
+        made.append(("compact", cost))
+        assert step.reflectors == p
+        newest = append(rs[p + 2])
+        made.append(("factor", spent(lambda: step.factor(
+            [renamed[1, 5], (newest, 0)], 1e-9))[0]))
+        # 9 reflectors for 2 live pairs: F is rebuilt from them
+        cost, renamed = spent(lambda: step.compact(
+            [renamed[1, 5], renamed[8, 11]]))
+        made.append(("compact", cost))
+        assert step.reflectors == 2
+        newest = append(rs[p + 3])
+        made.append(("factor", spent(lambda: step.factor(
+            list(renamed.values()) + [(newest, 0)], 1e-9))[0]))
+        # nothing live: F restarts empty
+        made.append(("compact", spent(lambda: step.compact([]))[0]))
+        assert step.reflectors == 0
+        append(rs[0])
+        return made, widths
+
+    none = {"allreduce": 0, "broadcast": 0, "allgather": 0}
+    for made, widths in on_team([1, 2, 6], body):
+        assert widths == list(range(p + 1)) + [p, p, 2, 0]
+        costs = iter(widths)
+        for name, cost in made:
+            if name == "append":
+                width = next(costs)
+                assert cost == dict(none, allreduce=2 if 0 < width < p
+                                    else 1), (width, cost)
+            else:
+                assert cost == none, (name, cost)
+        assert [name for name, _ in made].count("compact") == 3
+
+
 def test_step_factor_rejects_history_it_has_not_factored():
     # the secant columns come from F: no pair naming a column it does
     # not hold yet, and no more columns than the interface has rows
