@@ -11,8 +11,7 @@ from .harness import (CellStats, ComparisonReport, SweepSpec,
 from .problems import (AddedMassPiston, LinearFixedPoint, TwoInterfaceBlock,
                        make_problem)
 from .qr import (EmptySecantSpaceError, FilterOutcome, HouseholderStack,
-                 SingularUpperError, apply_qt, back_substitute, decompose,
-                 reconstruct)
+                 SingularUpperError, apply_qt, back_substitute, decompose)
 from .runtime import (CollectiveMismatchError, DeadlockError, RankComm,
                       run_spmd)
 

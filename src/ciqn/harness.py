@@ -197,10 +197,13 @@ class ComparisonReport:
 def compare_accelerators(spec: SweepSpec,
                          accelerators=("ciqn", "aitken")) -> ComparisonReport:
     """Run the same sweep grid once per accelerator.  An empty list, an
-    unknown name or an ``out`` path (a comparison writes no CSV) raises
-    ValueError before the first sweep starts."""
+    unknown or repeated name or an ``out`` path (a comparison writes no
+    CSV) raises ValueError before the first sweep starts."""
     if not accelerators:
         raise ValueError("no accelerator to compare")
+    if len(set(accelerators)) < len(accelerators):
+        raise ValueError("accelerator named twice: %s"
+                         % ",".join(accelerators))
     if spec.out:
         raise ValueError("compare writes no CSV; out is a sweep option")
     specs = [replace(spec, accelerator=name) for name in accelerators]

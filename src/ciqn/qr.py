@@ -25,8 +25,8 @@ residual, each appended with two reductions (Daniel, Gragg, Kaufman and
 Stewart, Math. Comp. 30, 1976); every secant column, the history's too,
 is a difference of two of F's columns, picked from R_F locally.  A step
 start rebuilds F from its live columns, also locally, once they number
-less than half its reflectors.  ``decompose``, ``apply_qt`` and
-``reconstruct`` are one-shot kernels.
+less than half its reflectors.  ``decompose`` and ``apply_qt`` are
+front-ends over it, kept for the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from math import copysign, sqrt
 import numpy as np
 import scipy.linalg
 
-from .field import (InterfaceVector, PartitionLayout, _check_compatible,
-                    distribute)
+from .field import InterfaceVector, PartitionLayout, _check_compatible
 from .runtime import RankComm
 
 
@@ -71,15 +70,19 @@ class HouseholderStack:
 
     reflectors[j] zeroes its column below global row j; each has unit
     norm (to rounding, once a ``StepFactor`` has compacted) or is zero
-    (the identity).  ``upper`` is q-by-q, identical on all ranks;
-    ``rotation`` (None: the identity) is the first q rows of the local
-    orthogonal factor applied after the reflectors.
+    (the identity: identity_flags[j]).  Their product is I - Y T Y^T.
+    Replicated: T, Y's first rows ``y_head`` (reflector i at row j in
+    [i, j]), the q-by-q ``upper`` and ``rotation``, the first q rows of
+    the local orthogonal factor applied after the reflectors.  A stack
+    made for ``back_substitute`` alone needs only ``upper``.
     """
 
     reflectors: list[InterfaceVector]
     upper: np.ndarray
     identity_flags: list[bool] = dataclass_field(default_factory=list)
     rotation: np.ndarray | None = None
+    t: np.ndarray | None = None
+    y_head: np.ndarray | None = None
 
     @property
     def q(self) -> int:
@@ -140,17 +143,6 @@ def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
     return u, alpha, nrm, head, extra
 
 
-def _reflect(comm: RankComm, reflectors, identity_flags,
-             block: np.ndarray) -> None:
-    """Apply reflectors, in the given order, to the rows (local slices) of
-    ``block`` in place.  Identity reflectors are skipped; every other one
-    costs one reduction for all the rows."""
-    for u, identity in zip(reflectors, identity_flags):
-        if not identity:
-            coefs = comm.allreduce_sum_array(block @ u.local)
-            block -= 2.0 * np.outer(coefs, u.local)
-
-
 def _triangularize(m: np.ndarray, epsilon: float):
     """Triangularize the replicated block ``m``, padded with zero rows to
     its column count, under the filter: scan, drop, re-triangularize the
@@ -180,52 +172,42 @@ def _triangularize(m: np.ndarray, epsilon: float):
 
 
 def decompose(columns: list[InterfaceVector], epsilon: float):
-    """Factor the columns into (HouseholderStack, FilterOutcome).
-
-    Column j gets its distributed reflector, pivoting at global row j: a
-    reduction, and one more to update the later columns (2k - 1 for k
-    columns, whatever the filter drops); the filter then runs on the
-    replicated triangle locally.  EmptySecantSpaceError: nothing left.
-    """
+    """Factor the columns into (HouseholderStack, FilterOutcome): append
+    them to a fresh ``StepFactor`` (2k - 1 reductions for k columns,
+    whatever the filter drops) and factor the pairs (j + 1, 0), R_F's
+    column 0 being zero.  EmptySecantSpaceError: nothing left."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     if not columns:
         raise EmptySecantSpaceError([], 0)
-    first = columns[0]
     for c in columns[1:]:
-        _check_compatible(first, c)
-    layout, comm = first.layout, first.comm
-    if len(columns) > layout.global_size:
+        _check_compatible(columns[0], c)
+    if len(columns) > columns[0].layout.global_size:
         raise ValueError("%d columns exceed the %d interface rows"
-                         % (len(columns), layout.global_size))
-    work = np.array([c.local for c in columns])  # becomes the reflectors
-    tri, flags = np.zeros((len(work), len(work))), []
-    for j, col in enumerate(work):
-        u, alpha, nrm, head, _ = _reflector_from_column(layout, comm, col, j)
-        tri[:j, j], tri[j, j] = head[:-1], alpha
-        col[:] = u
-        if nrm and j + 1 < len(work):
-            coefs = comm.allreduce_sum_array([u @ w for w in work[j + 1:]])
-            work[j + 1:] -= 2.0 * np.outer(coefs, u)
-        flags.append(not nrm)
-    upper, rotation, outcome = _triangularize(tri, epsilon)
-    stack = HouseholderStack([InterfaceVector(layout, comm, u) for u in work],
-                             upper, flags, rotation)
+                         % (len(columns), columns[0].layout.global_size))
+    step = StepFactor()
+    for c in columns:
+        step.append(c)
+    stack, outcome, _ = step.factor(
+        [(j + 1, 0) for j in range(len(columns))], epsilon)
     return stack, outcome
 
 
-def apply_qt(stack: HouseholderStack, r: InterfaceVector) -> np.ndarray:
-    """First q rows of Q^T r, replicated on every rank.
+def _qt_head(layout: PartitionLayout, comm: RankComm, ys, t: np.ndarray,
+             y_head: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Rows 0..n-1 of Q^T col, replicated, for Q = I - Y T Y^T with the
+    n reflectors ``ys``: one reduction sums Y^T col with those rows."""
+    n = len(ys)
+    reduced = comm.allreduce_sum_array(np.concatenate(
+        ([y.local @ col for y in ys], _head_share(layout, comm.rank, col, n))))
+    return reduced[n:] - y_head.T @ (t.T @ reduced[:n])
 
-    The reflectors are applied in construction order (the first one
-    first); the rows they pivot on are then combined from their owners
-    with one more reduction, and turned by ``rotation`` if there is one.
-    """
-    t = r.local[None, :].copy()
-    _reflect(r.comm, stack.reflectors, stack.identity_flags, t)
-    head = r.comm.allreduce_sum_array(
-        _head_share(r.layout, r.comm.rank, t[0], len(stack.reflectors)))
-    return head if stack.rotation is None else stack.rotation @ head
+
+def apply_qt(stack: HouseholderStack, r: InterfaceVector) -> np.ndarray:
+    """First q rows of Q^T r, turned by ``rotation``, replicated on every
+    rank.  One reduction."""
+    return stack.rotation @ _qt_head(r.layout, r.comm, stack.reflectors,
+                                     stack.t, stack.y_head, r.local)
 
 
 class StepFactor:
@@ -255,15 +237,12 @@ class StepFactor:
         self.layout, self.comm = layout, comm = r.layout, r.comm
         col, n = r.local, len(self._y)
         if n:
-            full = n == layout.global_size
-            reduced = comm.allreduce_sum_array(np.concatenate(
-                ([y.local @ col for y in self._y],
-                 _head_share(layout, comm.rank, col, n if full else 0))))
-            coefs = self._t.T @ reduced[:n]
-            if full:
-                self._upper = np.column_stack(
-                    [self._upper, reduced[n:] - self._y_head.T @ coefs])
+            if n == layout.global_size:
+                self._upper = np.column_stack([self._upper, _qt_head(
+                    layout, comm, self._y, self._t, self._y_head, col)])
                 return self._upper.shape[1] - 1
+            coefs = self._t.T @ comm.allreduce_sum_array(
+                [y.local @ col for y in self._y])
             col = col.copy()
             for coef, y in zip(coefs, self._y):
                 col -= coef * y.local
@@ -306,7 +285,8 @@ class StepFactor:
         Local: triangularize R_F E under the filter.  Returns (stack,
         outcome, first q rows of the rotated R_F column of F's newest),
         a projection within the floor being zero.  The stack shares F's
-        reflectors, which the next rebuilding ``compact`` rewrites."""
+        reflectors, T and Y head, which the next rebuilding ``compact``
+        rewrites or replaces."""
         if len(columns) > self.layout.global_size:
             raise ValueError("%d columns exceed the %d interface rows"
                              % (len(columns), self.layout.global_size))
@@ -315,8 +295,9 @@ class StepFactor:
         head = rotation @ r_k
         if np.linalg.norm(head) <= self._floor() * np.linalg.norm(r_k):
             head = np.zeros_like(head)
-        return (HouseholderStack(list(self._y), tri, [False] * len(self._y),
-                                 rotation), outcome, head)
+        return (HouseholderStack(
+            list(self._y), tri, (np.diagonal(self._y_head) == 0.0).tolist(),
+            rotation, self._t, self._y_head), outcome, head)
 
     def compact(self, columns) -> dict:
         """Keep of F what the pairs ``columns`` need, with no
@@ -393,21 +374,3 @@ def back_substitute(stack: HouseholderStack, rhs: np.ndarray,
         raise SingularUpperError("singular U")
     return scipy.linalg.solve_triangular(upper, rhs, lower=False)
 
-
-def reconstruct(stack: HouseholderStack) -> list[InterfaceVector]:
-    """Rebuild the kept columns from [U; 0] by reversing the reflectors.
-
-    Mainly a verification aid: the result should match the kept input
-    columns to round-off.
-    """
-    refl = stack.reflectors
-    if not refl:
-        return []
-    layout, comm = refl[0].layout, refl[0].comm
-    columns = stack.upper if stack.rotation is None \
-        else stack.rotation.T @ stack.upper
-    full = np.zeros((stack.q, layout.global_size))
-    full[:, :len(columns)] = columns.T
-    block = np.array([distribute(layout, comm, row).local for row in full])
-    _reflect(comm, reversed(refl), reversed(stack.identity_flags), block)
-    return [InterfaceVector(layout, comm, row) for row in block]

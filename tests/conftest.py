@@ -59,6 +59,23 @@ def compact_lstsq(dense_v, r_full, epsilon=0.0):
     return lam, stack, outcome
 
 
+def reconstruct(stack):
+    """The kept columns Q [C; 0], C = rotation^T U, as distributed
+    vectors: [C; 0] - Y T (Y_head C), each rank its own rows, with no
+    collective.  The verification aid: they should match the kept input
+    columns to round-off."""
+    layout, comm = stack.reflectors[0].layout, stack.reflectors[0].comm
+    start, count = layout.starts[comm.rank], layout.counts[comm.rank]
+    columns = stack.rotation.T @ stack.upper
+    padded = np.zeros((layout.global_size, stack.q))
+    padded[:len(columns)] = columns
+    y_local = np.array([y.local for y in stack.reflectors]).T
+    block = padded[start:start + count] \
+        - y_local @ (stack.t @ (stack.y_head @ columns))
+    return [InterfaceVector(layout, comm, block[:, j].copy())
+            for j in range(stack.q)]
+
+
 def random_tall(p, q, cond, rng):
     """p-by-q matrix with prescribed condition number (singular 1..1/cond)."""
     basis, _ = np.linalg.qr(rng.standard_normal((p, q)))

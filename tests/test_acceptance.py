@@ -16,11 +16,10 @@ from ciqn.coupler import (ACCELERATORS, Coupler, CouplerConfig,
 from ciqn.harness import SweepSpec, render_table, run_cell, run_sweep
 from ciqn.problems import (PROBLEMS, LinearFixedPoint, TwoInterfaceBlock,
                            make_problem)
-from ciqn.qr import (SingularUpperError, apply_qt, back_substitute, decompose,
-                     reconstruct)
+from ciqn.qr import SingularUpperError, apply_qt, back_substitute, decompose
 
 from conftest import (compact_lstsq, counted_solve, dense_columns, on_team,
-                      random_tall, single_rank, vector)
+                      random_tall, reconstruct, single_rank, vector)
 
 
 @contextmanager

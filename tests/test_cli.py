@@ -248,3 +248,15 @@ def test_compare_rejects_bad_accelerators_before_any_cell(accel,
     monkeypatch.setattr(harness, "solve_coupled", no_cells)
     with pytest.raises(SystemExit, match="^ciqn: accelerator must be"):
         cli.main(["compare", "--accel", accel])
+
+
+def test_compare_rejects_a_repeated_accelerator(capsys, monkeypatch):
+    # the report keeps one sweep per name: a second would overwrite the
+    # first and print a comparison of a grid with itself
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "solve_coupled", no_cells)
+    with pytest.raises(SystemExit, match="^ciqn: accelerator named twice"):
+        cli.main(["compare", "--accel", "aitken,aitken"])
+    assert capsys.readouterr().out == ""

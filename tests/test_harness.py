@@ -141,7 +141,8 @@ def test_compare_rejects_an_out_path_before_any_cell(monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("names", [(), ("ciqn", "bogus"), ("",)])
+@pytest.mark.parametrize("names", [(), ("ciqn", "bogus"), ("",),
+                                   ("aitken", "ciqn", "aitken")])
 def test_compare_rejects_accelerators_before_any_cell(names, monkeypatch):
     def no_cells(*args, **kwargs):
         raise AssertionError("a cell ran")

@@ -5,10 +5,29 @@ and class attributes with timing wrappers.  A rename would make a traced
 run fail or silently stop measuring, so the names are pinned here.
 """
 
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
 
 from ciqn import cli, coupler, field, harness, qr, runtime
-from ciqn.field import PartitionLayout
+from ciqn.field import PartitionLayout, distribute
+from ciqn.problems import make_problem
+
+INSTRUMENT = Path(__file__).resolve().parents[1] / "bench" / "instrument.py"
+
+
+def load_instrument():
+    """``bench/instrument.py`` as a module, imported by path."""
+    spec = importlib.util.spec_from_file_location("bench_instrument",
+                                                  INSTRUMENT)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is made
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_coupler_exposes_the_wrapped_kernels():
@@ -61,3 +80,52 @@ def test_accelerators_define_propose_in_the_coupler_module():
         assert cls.__module__ == coupler.__name__, name
         assert vars(coupler)[cls.__name__] is cls, name
         assert "propose" in vars(cls), name
+
+
+def test_tracer_wrappers_run_the_kernels_they_wrap():
+    # the pins above check names only; here the tracer's wrappers call
+    # ``decompose``, ``apply_qt`` and ``back_substitute`` with the
+    # signatures and stack fields they use, on a team whose pivot rows
+    # span three ranks, and then trace one two-rank coupled step
+    instrument = load_instrument()
+    tracer = instrument.Tracer(run=0)
+    rng = np.random.default_rng(3)
+    dense, r_full = rng.standard_normal((9, 3)), rng.standard_normal(9)
+    layout = PartitionLayout.from_counts([1, 2, 6])
+
+    def body(comm):
+        stack, outcome = coupler.decompose(
+            [distribute(layout, comm, column) for column in dense.T], 1e-9)
+        head = coupler.apply_qt(stack, distribute(layout, comm, r_full))
+        coupler.back_substitute(stack, -head, comm, layout)
+        return outcome.kept
+
+    with instrument.Patches() as patches:
+        tracer.install(patches)
+        kept = coupler.run_spmd(3, body)
+        result = coupler.solve_coupled(
+            make_problem("linear", seed=0, dim=8),
+            coupler.CouplerConfig(epsilon=1e-9, histories=1), 1, nranks=2)
+    assert coupler.decompose is qr.decompose
+    assert kept == [[0, 1, 2]] * 3 and result.records[0].converged
+    tally = tracer.qr
+    assert tally.decompose_calls == 1
+    assert (tally.columns_offered, tally.columns_kept) == (3, 3)
+    # rank 0 holds one row; apply_qt's share reads the identity flags
+    assert tally.flops == instrument.decompose_work(1, [0, 1, 2], [])[0] \
+        + instrument.apply_qt_work(1, 3)[0] > 0
+
+    def on_rank(name):
+        return {span[5] for span in tracer.spans if span[1] == name}
+
+    for name in ("decompose", "apply_qt", "back_substitute"):
+        assert on_rank(name) == {0, 1, 2}, name
+    for name in ("solve_coupled", "run_time_step", "evaluate", "propose",
+                 "gather"):
+        assert on_rank(name) >= {0}, name
+    assert on_rank("run_time_step") == {0, 1}
+    decompose_spans = {span[0] for span in tracer.spans
+                       if span[1] == "decompose" and span[5] == 0}
+    assert sum(entry["allreduce"][0]
+               for (sid, rank), entry in tracer.collectives.items()
+               if sid in decompose_spans and rank == 0) == 2 * 3 - 1

@@ -12,11 +12,11 @@ from ciqn.coupler import HistoryStore
 from ciqn.field import gather
 from ciqn.qr import (EmptySecantSpaceError, HouseholderStack,
                      SingularUpperError, StepFactor, apply_qt,
-                     back_substitute, decompose, reconstruct)
+                     back_substitute, decompose)
 from ciqn.runtime import RankComm
 
 from conftest import (compact_lstsq, dense_columns, on_team, random_tall,
-                      single_rank, vector)
+                      reconstruct, single_rank, vector)
 
 
 # -- reflectors ---------------------------------------------------------
@@ -90,42 +90,53 @@ def test_zero_column_gives_identity_reflector():
 
 # -- applying reflectors -------------------------------------------------
 
-def applied(counts, u_full, t_full, flags):
-    """apply_qt of reflectors ``u_full`` (all the same vector) with the
-    given identity flags: per rank (head, allreduces spent)."""
+def applied(counts, columns_full, t_full):
+    """apply_qt of r = ``t_full`` through the stack ``decompose`` makes of
+    the columns: per rank (head, identity flags, allreduces spent)."""
     def body(comm, layout):
-        u = vector(layout, comm, u_full)
-        stack = HouseholderStack([u] * len(flags), np.eye(len(flags)),
-                                 list(flags))
+        stack, _ = decompose(dense_columns(layout, comm, columns_full), 0.0)
         before = comm.counters["allreduce"]
         head = apply_qt(stack, vector(layout, comm, t_full))
-        return head, comm.counters["allreduce"] - before
+        return head, stack.identity_flags, comm.counters["allreduce"] - before
 
     return on_team(counts, body)
 
 
 def test_apply_identity_reflector():
-    # an identity-flagged reflector is skipped, even when u is not zero
-    for head, reductions in applied([2, 1], [1.0, 0.0, 0.0],
-                                    [1.0, 2.0, 3.0], [True]):
+    # an already-triangular column makes the identity, which leaves r's
+    # head as it is
+    for head, flags, reductions in applied(
+            [2, 1], np.array([[2.0, 0.0, 0.0]]).T, [1.0, 2.0, 3.0]):
         np.testing.assert_array_equal(head, [1.0])
-        assert reductions == 1  # only the pivot rows' reduction
+        assert flags == [True]
+        assert reductions == 1
 
 
 def test_apply_axis_reflector_flips_sign():
-    for head, _ in applied([2, 1], [0.0, 1.0, 0.0], [1.0, 2.0, 3.0],
-                           [False, True]):
+    # after an identity, a column along -e_1 makes the reflector
+    # I - 2 e_1 e_1^T
+    for head, flags, _ in applied(
+            [2, 1], np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0]]).T,
+            [1.0, 2.0, 3.0]):
         np.testing.assert_array_equal(head, [1.0, -2.0])
+        assert flags == [True, False]
 
 
 def test_apply_reflector_is_involutive():
+    # Q^T undoes Q: apply_qt of a reconstructed column is its U column
     rng = np.random.default_rng(1)
-    u_full = rng.standard_normal(6)
-    u_full /= np.linalg.norm(u_full)
-    t_full = rng.standard_normal(6)
-    for head, reductions in applied([4, 2], u_full, t_full, [False] * 2):
-        assert reductions == 3  # one per live reflector, plus the head
-        np.testing.assert_allclose(head, t_full[:2], atol=1e-14)
+    dense = rng.standard_normal((6, 2))
+
+    def body(comm, layout):
+        stack, _ = decompose(dense_columns(layout, comm, dense), 0.0)
+        before = comm.counters["allreduce"]
+        heads = [apply_qt(stack, c) for c in reconstruct(stack)]
+        return stack.upper, heads, comm.counters["allreduce"] - before
+
+    for upper, heads, reductions in on_team([4, 2], body):
+        assert reductions == 2  # one per column
+        for j, head in enumerate(heads):
+            np.testing.assert_allclose(head, upper[:, j], atol=1e-14)
 
 
 # -- decompose ----------------------------------------------------------
@@ -350,7 +361,7 @@ def test_collectives_per_kernel_on_spanning_pivots():
                        "allgather": 0}
         assert drop == ({"allreduce": 2 * (k + 1) - 1, "broadcast": 0,
                          "allgather": 0}, [k])
-        assert qt == {"allreduce": live + 1, "broadcast": 0, "allgather": 0}
+        assert qt == {"allreduce": 1, "broadcast": 0, "allgather": 0}
         assert back == {"allreduce": 0, "broadcast": 0, "allgather": 0}
 
 
@@ -669,6 +680,38 @@ def test_compaction_is_local_and_rewrites_y_in_place():
             if p > 4096:
                 # Y is 8 reflectors of p rows
                 assert extra < 8 * p * 8 / 2, extra
+
+
+def test_apply_qt_agrees_with_the_step_factor():
+    # apply_qt of the stack ``factor`` returns projects F's newest
+    # column, through the stack's T and Y head, to the head ``factor``
+    # returns: with 5 reflectors for 2 live pairs, and again once a
+    # ``compact`` has rebuilt T, Y and its head from them
+    rng = np.random.default_rng(43)
+    residuals = rng.standard_normal((9, 7))
+
+    def body(comm, layout):
+        rs = dense_columns(layout, comm, residuals)
+        step, out = StepFactor(), []
+        for r in rs[:5]:
+            newest = step.append(r)
+        stack, _, head = step.factor(
+            [(1, newest), (2, newest), (3, newest)], 0.0)
+        out.append((apply_qt(stack, rs[4]), head))
+        renamed = step.compact([(1, newest), (2, newest)])
+        assert step.reflectors == 2
+        for r in rs[5:]:
+            newest = step.append(r)
+        stack, _, head = step.factor(
+            list(renamed.values()) + [(newest - 1, newest)], 0.0)
+        out.append((apply_qt(stack, rs[6]), head))
+        return out
+
+    for out in on_team([1, 2, 6], body):
+        for (projected, head), r_k in zip(out, residuals[:, [4, 6]].T):
+            assert len(head) == 3
+            np.testing.assert_allclose(projected, head, rtol=0,
+                                       atol=1e-14 * np.linalg.norm(r_k))
 
 
 def test_step_factor_collectives_on_spanning_pivots():
