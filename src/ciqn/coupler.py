@@ -26,17 +26,17 @@ differences, and a step start compacts the factor to the live blocks.
 
 Every accelerator has the same four methods, and none of them sees the
 :class:`Coupler`: ``start_step()`` at the start of a time step,
-``inner_products(r)`` and ``propose(x, x_tilde, r, sums)`` for each
-iterate (the layout and communicator travel with ``r``), and
+``shares(r)`` and ``propose(x, x_tilde, r, sums)`` for each iterate
+(the layout and communicator travel with ``r``), and
 ``finish_step(converged)`` at the end of the step, which returns how
 many secant columns the filter dropped during it.  Picard and Aitken
 drop none; ciqn pushes a converged step's columns into its history.
 
 The whole loop of a time step is :meth:`Coupler.run_time_step`: evaluate
 H(x), form r, make one reduction, test, update.  The reduction sums r . r
-with the inner products that ``inner_products(r)`` names as (a, b) pairs
-(Aitken's (delta, delta) and (r_prev, delta) once it has an r_prev), and
-``propose`` gets those sums in order.
+with this rank's addends from ``shares(r)`` (Aitken's local delta . delta
+and r_prev . delta once it has an r_prev, ciqn's projection of r through
+its factor), and ``propose`` gets those sums in order.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class PicardAccelerator:
     def start_step(self) -> None:
         pass
 
-    def inner_products(self, r: InterfaceVector) -> list:
+    def shares(self, r: InterfaceVector) -> list:
         return []
 
     def propose(self, x: InterfaceVector, x_tilde: InterfaceVector,
@@ -177,11 +177,11 @@ class AitkenAccelerator:
         self._omega: float | None = None
         self._prev_r: InterfaceVector | None = None
 
-    def inner_products(self, r) -> list:
+    def shares(self, r) -> list:
         if self._prev_r is None:
             return []
-        delta = field.axpy(-1.0, self._prev_r, r)
-        return [(delta, delta), (self._prev_r, delta)]
+        delta = r.local - self._prev_r.local
+        return [float(delta @ delta), float(self._prev_r.local @ delta)]
 
     def propose(self, x, x_tilde, r, sums) -> InterfaceVector:
         # sums are (delta . delta, r_prev . delta) once there is an r_prev
@@ -213,13 +213,13 @@ class CiqnAccelerator:
         self._dropped = 0
         self.history.renumber(self._factor.compact(self.history.columns()))
 
-    def inner_products(self, r) -> list:
-        return []
+    def shares(self, r) -> list:
+        return self._factor.shares(r)
 
     def propose(self, x, x_tilde, r, sums) -> InterfaceVector:
         cfg = self.config
         cap = r.layout.global_size
-        k = self._factor.append(r)
+        k = self._factor.append(r, sums)
         self._log.appendleft((k, x_tilde))
         # columns r_i - r and the history's, newest first, capped by the
         # interface size
@@ -281,8 +281,8 @@ class Coupler:
         """Evaluate and update until convergence, divergence or the cap.
 
         Each iteration evaluates H(x), makes one reduction for ||r|| and
-        the accelerator's inner products, and either converges (x takes
-        H(x) itself) or asks the accelerator for the next iterate.  A
+        the accelerator's shares, and either converges (x takes H(x)
+        itself) or asks the accelerator for the next iterate.  A
         non-finite norm ends the step unconverged on every rank alike,
         with x left at the last finite iterate.
         """
@@ -292,7 +292,7 @@ class Coupler:
         while len(norms) < cfg.max_iters:
             x_tilde = problem.evaluate(self.x, self.time_index)
             r = field.axpy(-1.0, self.x, x_tilde)
-            rr, *sums = field.dots([(r, r)] + accel.inner_products(r))
+            rr, *sums = field.dots([(r, r)], accel.shares(r))
             norms.append(float(np.sqrt(rr)))
             if not np.isfinite(norms[-1]):
                 break

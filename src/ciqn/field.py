@@ -84,8 +84,9 @@ def _check_compatible(a: InterfaceVector, b: InterfaceVector) -> None:
         raise ValueError("mismatched layouts")
 
 
-def dots(pairs) -> list[float]:
-    """Global inner products of (a, b) vector pairs, in order.
+def dots(pairs, shares=()) -> list[float]:
+    """Global inner products of (a, b) vector pairs, in order, then the
+    sums of ``shares``, this rank's addends to further global sums.
 
     All of them share one reduction, folded in rank order.  Each local
     product accumulates from +0.0, so no rank contributes -0.0 and the
@@ -98,7 +99,7 @@ def dots(pairs) -> list[float]:
         _check_compatible(first, a)
         _check_compatible(a, b)
     local = [float(a.local @ b.local) for a, b in pairs]
-    return first.comm.allreduce_sum_array(local).tolist()
+    return first.comm.allreduce_sum_array(local + list(shares)).tolist()
 
 
 def axpy(alpha: float, x: InterfaceVector, y: InterfaceVector) -> InterfaceVector:

@@ -21,12 +21,14 @@ at j.  Epsilon = 0 turns it off: an exactly dependent column surfaces
 later as a "singular U" error from the triangular solve.
 
 The coupler keeps one ``StepFactor`` per solve.  Its F holds every raw
-residual, each appended with two reductions (Daniel, Gragg, Kaufman and
-Stewart, Math. Comp. 30, 1976); every secant column, the history's too,
-is a difference of two of F's columns, picked from R_F locally.  A step
-start rebuilds F from its live columns, also locally, once they number
-less than half its reflectors.  ``decompose`` and ``apply_qt`` are
-front-ends over it, kept for the tests and the benchmark's tracer.
+residual, each appended with one reduction (none once F has a reflector
+per interface row), its projection through F riding on the coupler's
+r . r (Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976); every
+secant column, the history's too, is a difference of two of F's
+columns, picked from R_F locally.  A step start rebuilds F from its
+live columns, also locally, once they number less than half its
+reflectors.  ``decompose`` and ``apply_qt`` are front-ends over it,
+kept for the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -97,12 +99,10 @@ def _rows_before(layout: PartitionLayout, rank: int, n: int) -> int:
 def _head_share(layout: PartitionLayout, rank: int, local: np.ndarray,
                 n: int) -> np.ndarray:
     """This rank's entries among global rows 0..n-1 of its slice
-    ``local``, in an array of length n.
-
-    The other entries are -0.0, the exact additive identity, so an
-    allreduce of the shares returns every row's value bit for bit (the
-    sign of a zero included) from whichever rank owns it.
-    """
+    ``local``, in an array of length n.  The other entries are -0.0, the
+    exact additive identity, so an allreduce of the shares returns every
+    row's value bit for bit (the sign of a zero included) from whichever
+    rank owns it."""
     start, rows = layout.starts[rank], _rows_before(layout, rank, n)
     share = np.full(n, -0.0)
     share[start:start + rows] = local[:rows]
@@ -173,41 +173,45 @@ def _triangularize(m: np.ndarray, epsilon: float):
 
 def decompose(columns: list[InterfaceVector], epsilon: float):
     """Factor the columns into (HouseholderStack, FilterOutcome): append
-    them to a fresh ``StepFactor`` (2k - 1 reductions for k columns,
-    whatever the filter drops) and factor the pairs (j + 1, 0), R_F's
-    column 0 being zero.  EmptySecantSpaceError: nothing left."""
+    them to a fresh ``StepFactor``, reducing each one's shares alone (2k -
+    1 reductions for k columns, whatever the filter drops), and factor
+    the pairs (j + 1, 0).  EmptySecantSpaceError: nothing left."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     if not columns:
         raise EmptySecantSpaceError([], 0)
     for c in columns[1:]:
         _check_compatible(columns[0], c)
-    if len(columns) > columns[0].layout.global_size:
-        raise ValueError("%d columns exceed the %d interface rows"
-                         % (len(columns), columns[0].layout.global_size))
     step = StepFactor()
     for c in columns:
-        step.append(c)
+        shares = step.shares(c)
+        step.append(c, c.comm.allreduce_sum_array(shares) if shares
+                    else shares)
     stack, outcome, _ = step.factor(
         [(j + 1, 0) for j in range(len(columns))], epsilon)
     return stack, outcome
 
 
-def _qt_head(layout: PartitionLayout, comm: RankComm, ys, t: np.ndarray,
-             y_head: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Rows 0..n-1 of Q^T col, replicated, for Q = I - Y T Y^T with the
-    n reflectors ``ys``: one reduction sums Y^T col with those rows."""
-    n = len(ys)
-    reduced = comm.allreduce_sum_array(np.concatenate(
-        ([y.local @ col for y in ys], _head_share(layout, comm.rank, col, n))))
-    return reduced[n:] - y_head.T @ (t.T @ reduced[:n])
+def _projection_shares(ys, r: InterfaceVector, rows: int) -> list:
+    """This rank's addends to Y^T r, Y = ``ys``, then to r's first rows."""
+    shares = [y.local @ r.local for y in ys]
+    return shares + _head_share(r.layout, r.comm.rank, r.local,
+                                rows).tolist() if rows else shares
+
+
+def _qt_head(t, y_head, summed: np.ndarray) -> np.ndarray:
+    """Rows 0..n-1 of Q^T r, for Q = I - Y T Y^T with n reflectors, from
+    the summed ``_projection_shares`` of r with n rows."""
+    n = len(t)
+    return summed[n:] - y_head.T @ (t.T @ summed[:n])
 
 
 def apply_qt(stack: HouseholderStack, r: InterfaceVector) -> np.ndarray:
     """First q rows of Q^T r, turned by ``rotation``, replicated on every
     rank.  One reduction."""
-    return stack.rotation @ _qt_head(r.layout, r.comm, stack.reflectors,
-                                     stack.t, stack.y_head, r.local)
+    ys = stack.reflectors
+    summed = r.comm.allreduce_sum_array(_projection_shares(ys, r, len(ys)))
+    return stack.rotation @ _qt_head(stack.t, stack.y_head, summed)
 
 
 class StepFactor:
@@ -228,21 +232,25 @@ class StepFactor:
         self._t = self._y_head = np.zeros((0, 0))
         self._upper = np.zeros((0, 1))
 
-    def append(self, r: InterfaceVector) -> int:
-        """Make r F's newest column; returns its index.  Two reductions:
-        one projects r through Y, one builds the reflector and carries Y's
-        products with it, for T's new column.  One on an empty factor,
-        and one once F has a reflector per interface row: r's rows ride
-        with Y^T r and the head of Y projects them."""
+    def shares(self, r: InterfaceVector) -> list:
+        """This rank's addends to the sums ``append`` takes with r: Y^T r,
+        then r's head rows once F has a reflector per interface row."""
+        full = len(self._y) == r.layout.global_size
+        return _projection_shares(self._y, r, len(self._y) if full else 0)
+
+    def append(self, r: InterfaceVector, summed) -> int:
+        """Make r F's newest column; returns its index.  ``summed`` sums
+        every rank's ``shares(r)`` (the coupler reduces them with r . r).
+        One reduction builds the reflector and carries Y's products for
+        T's new column; none once F has a reflector per interface row."""
         self.layout, self.comm = layout, comm = r.layout, r.comm
-        col, n = r.local, len(self._y)
+        col, n, summed = r.local, len(self._y), np.asarray(summed)
         if n:
             if n == layout.global_size:
-                self._upper = np.column_stack([self._upper, _qt_head(
-                    layout, comm, self._y, self._t, self._y_head, col)])
+                self._upper = np.column_stack(
+                    [self._upper, _qt_head(self._t, self._y_head, summed)])
                 return self._upper.shape[1] - 1
-            coefs = self._t.T @ comm.allreduce_sum_array(
-                [y.local @ col for y in self._y])
+            coefs = self._t.T @ summed
             col = col.copy()
             for coef, y in zip(coefs, self._y):
                 col -= coef * y.local

@@ -39,6 +39,14 @@ def counted_solve(*args, **kwargs):
     return result, [counters[rank] for rank in sorted(counters)]
 
 
+def append(factor, r) -> int:
+    """``factor.append`` with r's shares reduced on their own, as
+    ``decompose`` does; an empty factor has none to reduce."""
+    shares = factor.shares(r)
+    return factor.append(r, r.comm.allreduce_sum_array(shares)
+                         if shares else shares)
+
+
 def vector(layout, comm, full) -> InterfaceVector:
     """Distributed vector from a dense array."""
     return distribute(layout, comm, np.asarray(full, dtype=float))

@@ -301,8 +301,8 @@ def affine_jacobian(problem):
 
 def test_criterion_10_random_configs_are_deterministic_and_accurate():
     with criterion(10, "random configs: reruns identical, one reduction per "
-                   "scalar-update iteration, converged steps at the oracle",
-                   20.0):
+                   "scalar-update iteration and at most two per ciqn one, "
+                   "converged steps at the oracle", 20.0):
         for seed in range(60):
             rng = np.random.default_rng(seed)
             problem, config, counts, accel, steps = random_config(rng)
@@ -321,6 +321,15 @@ def test_criterion_10_random_configs_are_deterministic_and_accurate():
                 assert counters == [{"allreduce": iterations, "broadcast": 0,
                                      "allgather": iterations + 1}] \
                     * len(counts), case
+            else:
+                # one reduction per iteration, plus at most one per
+                # append, which an iteration that converges never makes
+                converged = sum(r.converged for r in first.records)
+                for counter in counters:
+                    assert counter["allgather"] == iterations + 1, case
+                    assert counter["broadcast"] == 0, case
+                    assert iterations <= counter["allreduce"] \
+                        <= 2 * iterations - converged, case
             last = first.records[-1]
             if last.converged:
                 # x_tilde - x* = M (M - I)^-1 r for the affine map

@@ -117,11 +117,17 @@ def test_zero_projection_returns_operator_output_unchanged():
     c = Coupler(comm, layout, cfg)
     accel = c.accelerator
     accel.start_step()
+
+    def propose(x, x_tilde, r):
+        # the coupler's side: r's shares summed with r . r
+        _, *sums = field.dots([(r, r)], accel.shares(r))
+        return accel.propose(x, x_tilde, r, sums)
+
     x = vector(layout, comm, [0.0, 0.0])
-    accel.propose(x, vector(layout, comm, [1.0, 1.0]),
-                  vector(layout, comm, [2.0, 5.0]), [])
+    propose(x, vector(layout, comm, [1.0, 1.0]),
+            vector(layout, comm, [2.0, 5.0]))
     x_tilde = vector(layout, comm, [0.3, 0.7])
-    out = accel.propose(x, x_tilde, vector(layout, comm, [0.0, 5.0]), [])
+    out = propose(x, x_tilde, vector(layout, comm, [0.0, 5.0]))
     np.testing.assert_array_equal(out.local, x_tilde.local)
 
 
@@ -148,10 +154,12 @@ def test_history_reuse_shortens_later_steps():
 
 def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
     # team [1, 2, 6], p = 9: one factor serves the whole solve; the
-    # first proposal of every step after the first costs one append, 2
-    # allreduces, or 1 once F has a reflector per row; compaction and
-    # ``factor`` cost none.  Ranking 2 rebuilds F at step starts (blocks
-    # of 2 pairs), ranking 5 keeps it full
+    # first proposal of every step after the first costs one append, 1
+    # allreduce, or none once F has a reflector per row, on top of the
+    # coupler's one reduction per iteration that sums the append's
+    # shares with r . r; compaction and ``factor`` cost none.  Ranking 2
+    # rebuilds F at step starts (blocks of 2 pairs), ranking 5 keeps it
+    # full
     made, calls = [], {}
 
     def counted(name, real):
@@ -188,10 +196,17 @@ def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
         calls.clear()
         config = CouplerConfig(histories=2, ranking=ranking, epsilon=1e-9,
                                tol=1e-8)
-        result = solve_coupled(problem, config, 6, counts=[1, 2, 6])
+        result, counters = counted_solve(problem, config, 6,
+                                         counts=[1, 2, 6])
         assert all(record.converged for record in result.records)
         assert sorted(made) == ["rank0", "rank1", "rank2"]
-        for rank_calls in calls.values():
+        iterations = sum(record.iterations for record in result.records)
+        for rank, rank_calls in calls.items():
+            appends = sum(spent["allreduce"] for name, spent, _ in rank_calls
+                          if name == "append")
+            assert counters[rank] == dict(
+                none, allreduce=iterations + appends,
+                allgather=iterations + 1)
             # reflectors after each call: an append adds one unless F
             # was full; a compaction that rebuilds F leaves fewer
             steps, width, rebuilt = [[]], 0, 0
@@ -202,9 +217,8 @@ def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
                         steps.append([])
                         rebuilt += after < width
                 elif name == "append":
-                    # 1 on an empty or a full factor
-                    assert spent == dict(none,
-                                         allreduce=1 + (0 < width < 9))
+                    # none on a full factor
+                    assert spent == dict(none, allreduce=int(width < 9))
                     appended = spent, width == 9
                 else:
                     assert spent == appended[0]  # the proposal's append
@@ -219,7 +233,9 @@ def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
 def test_history_factored_once_per_step(monkeypatch):
     # each residual enters the solve's one factor once, by an append at
     # its step's proposal; a later step starts by compacting F and
-    # reuses the history's columns from it, never factoring them again
+    # reuses the history's columns from it, never factoring them again.
+    # An append costs 1 allreduce, none once F is full, on top of the
+    # coupler's one per iteration
     real_init, real_append = qr.StepFactor.__init__, qr.StepFactor.append
     real_compact = qr.StepFactor.compact
     made, appends, compactions = [], [], []
@@ -228,9 +244,9 @@ def test_history_factored_once_per_step(monkeypatch):
         made.append(self)
         real_init(self)
 
-    def counted_append(self, r):
-        appends.append(r)
-        return real_append(self, r)
+    def counted_append(self, r, summed):
+        appends.append((r, self.reflectors < r.layout.global_size))
+        return real_append(self, r, summed)
 
     def counted_compact(self, columns):
         compactions.append(list(columns))
@@ -250,15 +266,18 @@ def test_history_factored_once_per_step(monkeypatch):
         assert (k_h > 0) == (step > 0)
         appends.clear()
         compactions.clear()
+        before = comm.counters["allreduce"]
         record = coupler.run_time_step(problem)
         assert record.converged and record.iterations >= 3
+        assert comm.counters["allreduce"] - before \
+            == record.iterations + sum(grows for _, grows in appends)
         # one factor for the solve; the step start compacts it for the
         # history's pairs; every proposal, the first included, appends
         # its residual and nothing else
         assert len(made) == 1
         assert compactions == [history]
         assert len(appends) == record.iterations - 1
-        assert len({id(r) for r in appends}) == len(appends)
+        assert len({id(r) for r, _ in appends}) == len(appends)
 
 
 def test_carried_factor_stays_bounded(monkeypatch):
@@ -381,8 +400,8 @@ def test_aitken_keeps_factor_on_stagnant_residual():
 
     def propose(x, r):
         # the coupler's side of the contract: one reduction for r . r
-        # and the named products, the latter handed back in order
-        _, *sums = field.dots([(r, r)] + accel.inner_products(r))
+        # and the accelerator's shares, their sums handed back in order
+        _, *sums = field.dots([(r, r)], accel.shares(r))
         return accel.propose(x, None, r, sums)
 
     x = vector(layout, comm, [0.0, 0.0])
@@ -476,9 +495,10 @@ def test_one_allreduce_per_iteration_on_a_spanning_team(name):
                                      counts=[0, 3, 5])
     iterations = sum(r.iterations for r in result.records)
     if name == "ciqn":
-        # the factor's reductions come on top of the residual's one
+        # the appends' reflectors come on top of the residual's one
+        # reduction, which carries their projections
         assert iterations == 30
-        expected = {"allreduce": 69, "broadcast": 0, "allgather": 31}
+        expected = {"allreduce": 45, "broadcast": 0, "allgather": 31}
     else:
         expected = {"allreduce": iterations, "broadcast": 0,
                     "allgather": iterations + 1}

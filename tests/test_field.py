@@ -93,6 +93,25 @@ def test_dots_fold_like_one_scalar_reduction_per_pair():
             assert not np.signbit(sums).any()
 
 
+def test_dots_carry_shares_after_their_pairs():
+    # one reduction sums the pairs' products, then each rank's shares:
+    # each share's sum bitwise that of reducing the shares alone, the
+    # sign of a -0.0 padding included
+    def body(comm, layout):
+        v = vector(layout, comm, [1.0, 2.0, 3.0])
+        shares = np.array([0.1 * (comm.rank + 1), -0.0, 1e-17])
+        before = dict(comm.counters)
+        fused = field.dots([(v, v)], shares)
+        spent = comm.counters["allreduce"] - before["allreduce"]
+        return fused, spent, comm.allreduce_sum_array(shares)
+
+    for counts in ([3], [1, 2], [0, 1, 2]):
+        for fused, spent, alone in on_team(counts, body):
+            assert spent == 1 and fused[0] == 14.0
+            assert np.array(fused[1:]).tobytes() == alone.tobytes()
+            assert np.signbit(fused[2])
+
+
 def test_norm_examples():
     layout, comm = single_rank(2)
     zero = field.zeros(layout, comm)

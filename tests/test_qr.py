@@ -9,14 +9,14 @@ import pytest
 
 from ciqn import qr
 from ciqn.coupler import HistoryStore
-from ciqn.field import gather
+from ciqn.field import dots, gather
 from ciqn.qr import (EmptySecantSpaceError, HouseholderStack,
                      SingularUpperError, StepFactor, apply_qt,
                      back_substitute, decompose)
 from ciqn.runtime import RankComm
 
-from conftest import (compact_lstsq, dense_columns, on_team, random_tall,
-                      reconstruct, single_rank, vector)
+from conftest import (append, compact_lstsq, dense_columns, on_team,
+                      random_tall, reconstruct, single_rank, vector)
 
 
 # -- reflectors ---------------------------------------------------------
@@ -484,11 +484,12 @@ def test_step_factor_matches_dense_reference():
         def body(comm, layout):
             step = StepFactor()
             for column in dense_columns(layout, comm, history):
-                step.append(column)
+                append(step, column)
             out = []
             for k, now, k_h, offered, epsilon in cases:
                 if epsilon == EPSILONS[0]:
-                    newest = step.append(vector(layout, comm, residuals[:, k]))
+                    newest = append(step,
+                                    vector(layout, comm, residuals[:, k]))
                 if not now + k_h:
                     continue
                 stack, outcome, head = step.factor(
@@ -564,7 +565,7 @@ def carried_proposals(comm, layout, capacity, ranking, steps):
         starts.append((before, live, factor.reflectors))
         log = deque(maxlen=ranking + 1)
         for k, r_k in enumerate(residuals.T):
-            newest = factor.append(vector(layout, comm, r_k))
+            newest = append(factor, vector(layout, comm, r_k))
             log.appendleft((newest, r_k))
             current = min(len(log) - 1, p)
             pairs = store.columns()[:p - current]
@@ -649,7 +650,7 @@ def test_compaction_is_local_and_rewrites_y_in_place():
     def rebuild(comm, layout, residuals):
         step = StepFactor()
         for column in dense_columns(layout, comm, residuals):
-            step.append(column)
+            append(step, column)
         before = dict(comm.counters)
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -661,7 +662,7 @@ def test_compaction_is_local_and_rewrites_y_in_place():
         assert step.reflectors == 3
         norms = np.linalg.norm(gather_columns(
             step.factor([(1, 0)], 0.0)[0].reflectors), axis=0)
-        newest = step.append(vector(layout, comm, residuals[:, 0]))
+        newest = append(step, vector(layout, comm, residuals[:, 0]))
         stack, _, head = step.factor(
             [renamed[1, 3], renamed[2, 3], renamed[5, 0], (newest, 0)], 0.0)
         return extra, norms, back_substitute(stack, -head, comm, layout)
@@ -694,14 +695,14 @@ def test_apply_qt_agrees_with_the_step_factor():
         rs = dense_columns(layout, comm, residuals)
         step, out = StepFactor(), []
         for r in rs[:5]:
-            newest = step.append(r)
+            newest = append(step, r)
         stack, _, head = step.factor(
             [(1, newest), (2, newest), (3, newest)], 0.0)
         out.append((apply_qt(stack, rs[4]), head))
         renamed = step.compact([(1, newest), (2, newest)])
         assert step.reflectors == 2
         for r in rs[5:]:
-            newest = step.append(r)
+            newest = append(step, r)
         stack, _, head = step.factor(
             list(renamed.values()) + [(newest - 1, newest)], 0.0)
         out.append((apply_qt(stack, rs[6]), head))
@@ -714,12 +715,52 @@ def test_apply_qt_agrees_with_the_step_factor():
                                        atol=1e-14 * np.linalg.norm(r_k))
 
 
+def test_append_with_the_couplers_sums_matches_its_own_reduction():
+    # the coupler sums an append's shares after r . r in its one
+    # reduction; the factor that takes those sums is bitwise the one
+    # whose shares are reduced on their own: from an empty factor,
+    # through F's full-interface appends, and after a compaction that
+    # rebuilds F.  Every rank's shares are as long
+    rng = np.random.default_rng(47)
+
+    def state(factor):
+        return [factor._upper[:, -1].tobytes(), factor._t.tobytes(),
+                factor._y_head.tobytes()] \
+            + [y.local.tobytes() for y in factor._y]
+
+    def body(comm, layout, residuals):
+        p, lengths = layout.global_size, []
+        fused, alone = StepFactor(), StepFactor()
+        for k, r in enumerate(dense_columns(layout, comm, residuals)):
+            if k == p + 2:
+                # p reflectors for 2 live pairs: both rebuild F
+                renamed = fused.compact([(1, 5), (3, 10)])
+                assert alone.compact([(1, 5), (3, 10)]) == renamed
+                assert fused.reflectors == 2
+            shares = fused.shares(r)
+            lengths.append(len(shares))
+            _, *sums = dots([(r, r)], shares)
+            assert fused.append(r, sums) == append(alone, r)
+            assert state(fused) == state(alone), k
+        return lengths
+
+    for counts in ([1, 2, 6], [0, 3, 5], [9]):
+        p = sum(counts)
+        residuals = rng.standard_normal((p, p + 4))
+        per_rank = on_team(counts, lambda comm, layout: body(
+            comm, layout, residuals))
+        # empty, growing, full for two appends, rebuilt to 2 reflectors
+        assert per_rank == [list(range(p)) + [2 * p] * 2 + [2, 3]] \
+            * len(counts)
+
+
 def test_step_factor_collectives_on_spanning_pivots():
-    # team [1, 2, 6], p = 9: an append pays 2 reductions, 1 on an empty
-    # factor and 1 once F has a reflector per row, also after a
-    # compaction; ``factor``, whatever columns it takes from F and the
-    # filter drops, and ``compact``, keeping F, rebuilding it or
-    # emptying it, pay nothing
+    # team [1, 2, 6], p = 9: an append pays 1 reduction, none once F has
+    # a reflector per row, also after a compaction, on top of the one
+    # that sums its shares (Y^T r, then r's head rows once F is full,
+    # as long on every rank); ``factor``, whatever columns it takes from
+    # F and the filter drops, and ``compact``, keeping F, rebuilding it
+    # or emptying it, pay nothing
     rng = np.random.default_rng(37)
     p = 9
     residuals = rng.standard_normal((p, p + 4))
@@ -735,14 +776,17 @@ def test_step_factor_collectives_on_spanning_pivots():
         rs = dense_columns(layout, comm, residuals)
         step, made, widths = StepFactor(), [], []
 
-        def append(r):
+        def counted_append(r):
             widths.append(step.reflectors)
-            cost, newest = spent(lambda: step.append(r))
+            shares = step.shares(r)
+            cost, summed = spent(lambda: comm.allreduce_sum_array(shares))
+            made.append(("shares", cost, len(shares)))
+            cost, newest = spent(lambda: step.append(r, summed))
             made.append(("append", cost))
             return newest
 
         for k, r in enumerate(rs[:p + 2]):
-            newest = append(r)
+            newest = counted_append(r)
             for now in range(1, min(k, 3) + 1):
                 pairs = [(newest - i, newest) for i in range(1, now + 1)]
                 cost, (_, outcome, _) = spent(
@@ -755,7 +799,7 @@ def test_step_factor_collectives_on_spanning_pivots():
             [(1, 5), (2, 5), (3, 6), (4, 7), (8, 11)]))
         made.append(("compact", cost))
         assert step.reflectors == p
-        newest = append(rs[p + 2])
+        newest = counted_append(rs[p + 2])
         made.append(("factor", spent(lambda: step.factor(
             [renamed[1, 5], (newest, 0)], 1e-9))[0]))
         # 9 reflectors for 2 live pairs: F is rebuilt from them
@@ -763,27 +807,30 @@ def test_step_factor_collectives_on_spanning_pivots():
             [renamed[1, 5], renamed[8, 11]]))
         made.append(("compact", cost))
         assert step.reflectors == 2
-        newest = append(rs[p + 3])
+        newest = counted_append(rs[p + 3])
         made.append(("factor", spent(lambda: step.factor(
             list(renamed.values()) + [(newest, 0)], 1e-9))[0]))
         # nothing live: F restarts empty
         made.append(("compact", spent(lambda: step.compact([]))[0]))
         assert step.reflectors == 0
-        append(rs[0])
+        counted_append(rs[0])
         return made, widths
 
     none = {"allreduce": 0, "broadcast": 0, "allgather": 0}
     for made, widths in on_team([1, 2, 6], body):
         assert widths == list(range(p + 1)) + [p, p, 2, 0]
         costs = iter(widths)
-        for name, cost in made:
-            if name == "append":
+        for name, cost, *length in made:
+            if name == "shares":
                 width = next(costs)
-                assert cost == dict(none, allreduce=2 if 0 < width < p
-                                    else 1), (width, cost)
+                assert cost == dict(none, allreduce=1)
+                assert length == [2 * width if width == p else width]
+            elif name == "append":
+                assert cost == dict(none, allreduce=int(width < p)), \
+                    (width, cost)
             else:
                 assert cost == none, (name, cost)
-        assert [name for name, _ in made].count("compact") == 3
+        assert [name for name, *_ in made].count("compact") == 3
 
 
 def test_step_factor_rejects_history_it_has_not_factored():
@@ -793,13 +840,13 @@ def test_step_factor_rejects_history_it_has_not_factored():
     cols = dense_columns(layout, comm,
                          random_tall(6, 3, 10.0, np.random.default_rng(3)))
     step = StepFactor()
-    first, newest = step.append(cols[0]), step.append(cols[1])
+    first, newest = append(step, cols[0]), append(step, cols[1])
     step.factor([(first, newest), (first, 0)], 0.0)
     with pytest.raises(ValueError):
         step.factor([(newest + 1, newest)], 0.0)
     with pytest.raises(ValueError):
         step.factor([(-1, newest)], 0.0)
-    step.append(cols[2])
+    append(step, cols[2])
     step.factor([(newest + 1, newest)], 0.0)
     with pytest.raises(ValueError):
         step.factor([(first, 0)] * 7, 0.0)
