@@ -28,7 +28,10 @@ secant column, the history's too, is a difference of two of F's
 columns, picked from R_F locally.  A step start rebuilds F from its
 live columns, also locally, once they number less than half its
 reflectors.  ``decompose`` and ``apply_qt`` are front-ends over it,
-kept for the tests and the benchmark's tracer.
+kept for the tests and the benchmark's tracer.  The replicated kernels
+call LAPACK's ``dgeqrf``, ``dorgqr`` and ``dtrtrs`` directly, never on
+an empty shape, as ``np.linalg.qr`` and ``scipy.linalg.solve_triangular``
+call them (for a C-ordered or 1-by-1 triangle: through its transpose).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import copysign, sqrt
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs
 
 from .field import InterfaceVector, PartitionLayout, _check_compatible
 from .runtime import RankComm
@@ -143,6 +146,19 @@ def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
     return u, alpha, nrm, head, extra
 
 
+def _qr(m: np.ndarray, reduced: bool = False):
+    """``np.linalg.qr(m, "reduced" if reduced else "r")`` bit for bit (m
+    non-empty if reduced): LAPACK's own workspace size, R in C order."""
+    k = min(m.shape)
+    qr, tau = (dgeqrf(m, lwork=int(dgeqrf_lwork(*m.shape)[0]))[:2]
+               if m.size else (np.zeros(m.shape), None))
+    r = np.where(np.arange(m.shape[1]) >= np.arange(k)[:, None], qr[:k], 0.0)
+    if not reduced:
+        return r
+    lwork = int(dorgqr(qr[:, :k], tau, lwork=-1)[1][0])
+    return np.ascontiguousarray(dorgqr(qr[:, :k], tau, lwork=lwork)[0]), r
+
+
 def _triangularize(m: np.ndarray, epsilon: float):
     """Triangularize the replicated block ``m``, padded with zero rows to
     its column count, under the filter: scan, drop, re-triangularize the
@@ -153,17 +169,18 @@ def _triangularize(m: np.ndarray, epsilon: float):
     # triangular m comes out as it went in, the rotation the identity
     tri = np.eye(max(rows, ncols), ncols + rows, ncols)
     tri[:rows, :ncols] = m
-    tri = np.linalg.qr(tri, mode="r")
-    while epsilon:
+    tri = _qr(tri)
+    while epsilon and kept:
         block = tri[:, :len(kept)]
-        filled = np.sqrt(np.cumsum(np.sum(block * block, axis=0)))
-        small = np.flatnonzero(np.abs(np.diagonal(block)) <= epsilon * filled)
-        if not small.size:
+        filled = np.sqrt(np.add.reduce(block * block).cumsum())
+        small = np.abs(block.diagonal()) <= epsilon * filled
+        j = int(small.argmax())
+        if not small[j]:
             break
-        j = small[0]
         dropped.append(kept.pop(j))
-        tri = np.delete(tri, j, axis=1)
-        tri[j:, j:] = np.linalg.qr(tri[j:, j:], mode="r")
+        tri[:, j:-1] = tri[:, j + 1:]
+        tri = tri[:, :-1]
+        tri[j:, j:] = _qr(tri[j:, j:])
     if not kept:
         raise EmptySecantSpaceError(dropped, len(dropped))
     q = len(kept)
@@ -274,19 +291,21 @@ class StepFactor:
 
     def _floor(self) -> float:
         # R_F's columns carry rounding of a few ulps per reflector
-        return 4.0 * len(self._y) * np.finfo(np.float64).eps
+        return 4.0 * len(self._y) * 2.0 ** -52  # machine epsilon
 
     def _pick(self, columns) -> np.ndarray:
         """R_F E for the pairs; a difference within the floor is zero,
         as it is when the residuals themselves are equal."""
         upper, pairs = self._upper, np.array(columns, dtype=int).reshape(-1, 2)
-        if pairs.size and not 0 <= pairs.min() <= pairs.max() < upper.shape[1]:
+        if not self._y or pairs.size and not (
+                0 <= pairs.min() <= pairs.max() < upper.shape[1]):
             raise ValueError("F has no column %r" % (columns,))
-        plus, minus = upper[:, pairs[:, 0]], upper[:, pairs[:, 1]]
-        diffs = plus - minus
-        norms = [np.sqrt(np.add.reduce(m * m)) for m in (diffs, plus, minus)]
-        diffs[:, norms[0] <= self._floor() * np.maximum(*norms[1:])] = 0.0
-        return diffs
+        # rows: differences, plus, minus, each summed as a gathered column
+        k, both = len(pairs), upper.T[pairs.T.ravel()]
+        rows = np.concatenate([both[:k] - both[k:], both])
+        d, p, m = np.sqrt(np.add.reduce(rows * rows, axis=1)).reshape(3, k)
+        rows[:k][d <= self._floor() * np.maximum(p, m)] = 0.0
+        return rows[:k].T
 
     def factor(self, columns, epsilon: float):
         """Solve for the pairs ``columns`` against F's newest column.
@@ -295,13 +314,13 @@ class StepFactor:
         a projection within the floor being zero.  The stack shares F's
         reflectors, T and Y head, which the next rebuilding ``compact``
         rewrites or replaces."""
+        picked = self._pick(columns)
         if len(columns) > self.layout.global_size:
             raise ValueError("%d columns exceed the %d interface rows"
                              % (len(columns), self.layout.global_size))
-        tri, rotation, outcome = _triangularize(self._pick(columns), epsilon)
-        r_k = self._upper[:, -1]
-        head = rotation @ r_k
-        if np.linalg.norm(head) <= self._floor() * np.linalg.norm(r_k):
+        tri, rotation, outcome = _triangularize(picked, epsilon)
+        head, r_k = rotation @ self._upper[:, -1], self._upper[:, -1].copy()
+        if sqrt(head @ head) <= self._floor() * sqrt(r_k @ r_k):  # as norm()
             head = np.zeros_like(head)
         return (HouseholderStack(
             list(self._y), tri, (np.diagonal(self._y_head) == 0.0).tolist(),
@@ -316,11 +335,15 @@ class StepFactor:
         for the LU B - [S; 0] = Y'U and T' = -U S Y'_head^-T (Ballard et
         al., JPDC 85, 2015), and R_F becomes S R_s."""
         live = list(dict.fromkeys(columns))
+        if not live:  # F starts empty
+            del self._y[:]
+            self._t = self._y_head = np.zeros((0, 0))
+            self._upper = self._upper[:0]
         if len(self._y) <= 2 * len(live):
             where = {i: k for k, i in enumerate(sorted({0}.union(*live)))}
             self._upper = self._upper[:, list(where)]
             return {pair: (where[pair[0]], where[pair[1]]) for pair in live}
-        q_s, r_s = np.linalg.qr(self._pick(live))
+        q_s, r_s = _qr(self._pick(live), reduced=True)
         # B = [Q_s; 0] - Y G, whose top q rows every rank holds: their
         # LU without pivoting, each sign in S making its pivot >= 1
         g, n, q = self._t @ (self._y_head @ q_s), len(self._y), len(live)
@@ -331,8 +354,7 @@ class StepFactor:
             lu[j + 1:, j] /= lu[j, j]
             lu[j + 1:, j + 1:] -= np.outer(lu[j + 1:, j], lu[j, j + 1:])
         lower, upper = np.tril(lu, -1) + np.eye(q), np.triu(lu)
-        t = -scipy.linalg.solve_triangular(
-            lower, (upper * signs).T, lower=True, unit_diagonal=True).T
+        t = -dtrtrs(lower.T, (upper * signs).T, trans=1, unitdiag=1)[0].T
         # Y' D, D = sqrt(diag(T') / 2), are unit reflectors, Q_F their
         # product, with T = D^-1 T' D^-1
         d = np.sqrt(np.diagonal(t) / 2.0)
@@ -341,9 +363,8 @@ class StepFactor:
                         self.layout.counts[self.comm.rank])
         # below its head, the LU's unit triangle, Y' = B U^-1
         #     = [Q_s; 0] U^-1 - Y G U^-1, written over Y by row chunks
-        q_u, g_u = (scipy.linalg.solve_triangular(upper, m.T, trans="T")
-                    for m in (q_s, g))
-        for a in range(0, count if q else 0, self._CHUNK):
+        q_u, g_u = (dtrtrs(upper.T, m.T, lower=1)[0] for m in (q_s, g))
+        for a in range(0, count, self._CHUNK):
             rows = np.arange(start + a, start + min(a + self._CHUNK, count))
             chunk = -g_u @ np.array([y.local[a:a + len(rows)]
                                      for y in self._y])
@@ -376,9 +397,9 @@ def back_substitute(stack: HouseholderStack, rhs: np.ndarray,
     many orders below any diagonal a usable column can produce.
     """
     upper = stack.upper
-    floor = 4.0 * layout.global_size * np.finfo(np.float64).eps \
-        * np.sqrt(np.sum(upper ** 2))
-    if np.any(np.abs(np.diag(upper)) <= floor):
+    floor = 4.0 * layout.global_size * 2.0 ** -52 * sqrt((upper * upper).sum())
+    if (np.abs(upper.diagonal()) <= floor).any():
         raise SingularUpperError("singular U")
-    return scipy.linalg.solve_triangular(upper, rhs, lower=False)
-
+    if floor != floor or not np.isfinite(rhs).all():  # floor: a NaN in U
+        raise ValueError("array must not contain infs or NaNs")
+    return dtrtrs(upper.T, rhs, lower=1, trans=1)[0] if rhs.size else +rhs
