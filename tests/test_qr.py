@@ -1,18 +1,23 @@
 """Compact Householder factorization and the least-squares pipeline."""
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ciqn import qr
-from ciqn.coupler import HistoryStore
+from ciqn.coupler import CouplerConfig, HistoryStore, solve_coupled
 from ciqn.field import dots, gather
 from ciqn.qr import (EmptySecantSpaceError, HouseholderStack,
                      SingularUpperError, StepFactor, apply_qt,
                      back_substitute, decompose)
+from ciqn.problems import make_problem
 from ciqn.runtime import RankComm
 
 from conftest import (append, compact_lstsq, dense_columns, on_team,
@@ -850,3 +855,221 @@ def test_step_factor_rejects_history_it_has_not_factored():
     step.factor([(newest + 1, newest)], 0.0)
     with pytest.raises(ValueError):
         step.factor([(first, 0)] * 7, 0.0)
+
+
+def test_factor_on_an_empty_factor_names_the_missing_column():
+    # before any append F has no column, the zero one included
+    for columns in ([(1, 0)], [(0, 0)], []):
+        with pytest.raises(ValueError, match="F has no column"):
+            StepFactor().factor(columns, 0.1)
+
+
+# -- direct LAPACK kernels ------------------------------------------------
+#
+# ``qr`` calls dgeqrf, dorgqr and dtrtrs itself, with the arguments that
+# np.linalg.qr and scipy.linalg.solve_triangular pass, so every result
+# is the wrappers' bit for bit.  The shapes: the default sweep's
+# triangularized blocks (8 by 14, 10 by 18), the piston's (33 by 55),
+# and two on which dgeqrf blocks (min(m, n) >= 128), where only the
+# workspace size LAPACK asks for gives numpy's bits.
+
+KERNEL_SHAPES = [(8, 14), (10, 18), (33, 55)]
+BLOCKED_SHAPES = [(200, 300), (150, 400)]
+
+
+def kernel_input(shape, order):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    return np.asarray(rng.standard_normal(shape), order=order)
+
+
+def same_bits(got, expected):
+    return (got.shape == expected.shape and got.dtype == expected.dtype
+            and got.flags.c_contiguous == expected.flags.c_contiguous
+            and got.tobytes() == expected.tobytes())
+
+
+def check_qr_bits(shape, order):
+    m = kernel_input(shape, order)
+    assert same_bits(qr._qr(m), np.linalg.qr(m, mode="r"))
+    (q, r), (q_ref, r_ref) = qr._qr(m, reduced=True), np.linalg.qr(m)
+    assert same_bits(q, q_ref) and same_bits(r, r_ref)
+    for tall in (m.T, m[:, :1]):
+        assert same_bits(qr._qr(tall), np.linalg.qr(tall, mode="r"))
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_direct_qr_is_numpys_bit_for_bit(shape, order):
+    check_qr_bits(shape, order)
+
+
+def test_direct_qr_is_numpys_bit_for_bit_where_dgeqrf_blocks():
+    # numpy and scipy each bundle their own OpenBLAS, which split a
+    # blocked update differently over threads (with two, a 300-by-200 R
+    # differs), so the blocked shapes are compared with one BLAS thread,
+    # as bench/run.py runs; the filter pass too, on a 200-by-300 block
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import test_qr as t\n"
+            "for shape in t.BLOCKED_SHAPES:\n"
+            "    for order in 'CF':\n"
+            "        t.check_qr_bits(shape, order)\n"
+            "t.check_filter_pass(200, 100)\n")
+    path = os.pathsep.join([here, os.path.join(os.path.dirname(here), "src")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=here,
+                   check=True, timeout=120)
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("shape", KERNEL_SHAPES + BLOCKED_SHAPES)
+def test_back_substitute_is_scipys_bit_for_bit(shape, order):
+    # the solve does not depend on U's memory order; scipy's is taken on
+    # the row-major triangle, as the filter hands it over
+    k = min(shape)
+    upper = np.linalg.qr(kernel_input(shape, "C"), mode="r")[:, :k]
+    rhs = np.random.default_rng(k).standard_normal(k)
+    layout, comm = single_rank(k)
+    stack = HouseholderStack([], np.asarray(upper, order=order))
+    lam = back_substitute(stack, rhs, comm, layout)
+    assert same_bits(lam, scipy.linalg.solve_triangular(upper, rhs))
+
+
+def triangularize_reference(m, epsilon):
+    """The filter as it was written on np.linalg.qr and np.delete."""
+    rows, ncols = m.shape
+    kept, dropped = list(range(ncols)), []
+    tri = np.eye(max(rows, ncols), ncols + rows, ncols)
+    tri[:rows, :ncols] = m
+    tri = np.linalg.qr(tri, mode="r")
+    while epsilon:
+        block = tri[:, :len(kept)]
+        filled = np.sqrt(np.cumsum(np.sum(block * block, axis=0)))
+        small = np.flatnonzero(np.abs(np.diagonal(block)) <= epsilon * filled)
+        if not small.size:
+            break
+        j = small[0]
+        dropped.append(kept.pop(j))
+        tri = np.delete(tri, j, axis=1)
+        tri[j:, j:] = np.linalg.qr(tri[j:, j:], mode="r")
+    q = len(kept)
+    return tri[:q, :q], tri[:q, q:], kept, dropped
+
+
+@pytest.mark.parametrize("rows,ncols", [(8, 6), (8, 10), (33, 22)])
+def test_filter_pass_matches_its_numpy_reference(rows, ncols):
+    check_filter_pass(rows, ncols)
+
+
+def check_filter_pass(rows, ncols):
+    # columns that are near-combinations of earlier ones, an exact copy
+    # and a zero column make the filter drop several and re-triangularize
+    # after each drop
+    rng = np.random.default_rng(rows * ncols)
+    m = (rng.standard_normal((rows, ncols))
+         * 10.0 ** rng.integers(-3, 3, ncols))
+    for j in range(2, ncols, 3):
+        m[:, j] = (m[:, j - 1] - m[:, j - 2]
+                   + 1e-9 * rng.standard_normal(rows))
+    m[:, 1], m[:, ncols - 1] = m[:, 0], 0.0
+    drops = []
+    for epsilon in (0.0, 1e-12, 1e-6, 1e-2):
+        upper, rotation, kept, dropped = triangularize_reference(m, epsilon)
+        got_upper, got_rotation, outcome = qr._triangularize(m, epsilon)
+        assert (outcome.kept, outcome.dropped) == (kept, dropped)
+        assert got_upper.tobytes() == upper.tobytes()
+        assert got_rotation.tobytes() == rotation.tobytes()
+        drops.append(len(dropped))
+    assert drops[0] == 0 and drops[-1] >= 2
+
+
+def test_solves_call_lapack_as_scipy_does(monkeypatch):
+    # every triangular solve of a solve -- back substitutions and the
+    # rebuild's three -- is scipy.linalg.solve_triangular's bit for bit,
+    # and every QR numpy's; the piston's history outgrows its live
+    # columns, so ``compact`` rebuilds F
+    calls = {"dtrtrs": 0, "reduced": 0}
+    real_trtrs, real_qr = qr.dtrtrs, qr._qr
+
+    def trtrs(a_t, b, lower=0, trans=0, unitdiag=0):
+        x, info = real_trtrs(a_t, b, lower=lower, trans=trans,
+                             unitdiag=unitdiag)
+        expected = scipy.linalg.solve_triangular(
+            a_t.T, b, lower=not lower, trans=int(not trans),
+            unit_diagonal=bool(unitdiag))
+        assert info == 0 and same_bits(np.ascontiguousarray(x),
+                                       np.ascontiguousarray(expected))
+        calls["dtrtrs"] += 1
+        return x, info
+
+    def direct_qr(m, reduced=False):
+        got = real_qr(m, reduced)
+        expected = np.linalg.qr(m) if reduced else (np.linalg.qr(m, "r"),)
+        assert all(map(same_bits, got if reduced else (got,), expected))
+        calls["reduced"] += reduced
+        return got
+
+    monkeypatch.setattr(qr, "dtrtrs", trtrs)
+    monkeypatch.setattr(qr, "_qr", direct_qr)
+    solve_coupled(make_problem("piston", dim=40),
+                  CouplerConfig(epsilon=1e-9, histories=3, ranking=5,
+                                tol=1e-8), 6, counts=[7, 33])
+    solve_coupled(make_problem("linear", seed=5),
+                  CouplerConfig(epsilon=0.1, histories=1, ranking=5), 10)
+    assert calls["reduced"] and calls["dtrtrs"] > 3 * calls["reduced"]
+
+
+def test_back_substitute_error_paths():
+    # as the check_finite solve raised them: a NaN anywhere in U, or a
+    # NaN or inf in the right-hand side, is a ValueError; an inf in U
+    # makes the singular floor inf, so SingularUpperError; the floor is
+    # tested first; an empty triangle solves to an empty vector
+    layout, comm = single_rank(4)
+    nan, inf = float("nan"), float("inf")
+
+    def solve(upper, rhs):
+        stack = HouseholderStack([], np.array(upper, dtype=float))
+        return back_substitute(stack, np.array(rhs, dtype=float), comm,
+                               layout)
+
+    good = [[2.0, 1.0], [0.0, 3.0]]
+    for upper, rhs in [([[nan, 1.0], [0.0, 3.0]], [1.0, 2.0]),
+                       ([[2.0, nan], [0.0, 3.0]], [1.0, 2.0]),
+                       ([[2.0, 1.0], [nan, 3.0]], [1.0, 2.0]),
+                       (good, [nan, 2.0]), (good, [1.0, inf]),
+                       (good, [-inf, 2.0])]:
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(upper, rhs)
+    for upper, rhs in [([[inf, 1.0], [0.0, 3.0]], [1.0, 2.0]),
+                       ([[2.0, 1.0], [-inf, 3.0]], [1.0, 2.0]),
+                       ([[2.0, 1.0], [0.0, 0.0]], [nan, 1.0])]:
+        with pytest.raises(SingularUpperError):
+            solve(upper, rhs)
+    empty = solve(np.zeros((0, 0)), np.zeros(0))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_no_shape_makes_lapack_write(capfd):
+    # LAPACK reports an illegal argument, such as an empty right-hand
+    # side, on the process's stderr; the kernels never call it so
+    # a factor with columns has a reflector, so R_F E has a row
+    for shape in [(0, 0)] + [(r, c) for r in (1, 2, 3) for c in range(4)]:
+        for epsilon in (0.0, 0.5):
+            try:
+                qr._triangularize(np.ones(shape), epsilon)
+            except EmptySecantSpaceError:
+                pass
+    for shape in [(r, c) for r in range(4) for c in range(4)]:
+        assert qr._qr(np.ones(shape)).shape == (min(shape), shape[1])
+    layout, comm = single_rank(6)
+    cols = dense_columns(layout, comm,
+                         random_tall(6, 4, 10.0, np.random.default_rng(5)))
+    step = StepFactor()
+    for c in cols:
+        append(step, c)
+    assert step.compact([]) == {} and step.reflectors == 0
+    newest = append(step, cols[0])
+    with pytest.raises(EmptySecantSpaceError):
+        step.factor([(newest, newest)], 0.5)
+    assert back_substitute(HouseholderStack([], np.zeros((0, 0))),
+                           np.zeros(0), comm, layout).size == 0
+    assert capfd.readouterr() == ("", "")
