@@ -22,7 +22,7 @@ import sys
 from .coupler import ACCELERATORS
 from .harness import (SweepSpec, compare_accelerators, render_table,
                       run_sweep)
-from .problems import PROBLEMS, RELAX_ON
+from .problems import PROBLEMS
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -34,8 +34,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated per-step column caps")
     parser.add_argument("--epsilon", type=_grid_flag(_number, "numbers"),
                         help="comma-separated filter thresholds")
-    parser.add_argument("--relax-on", choices=RELAX_ON,
-                        dest="relax_on")
     parser.add_argument("--steps", type=int, help="time steps per cell")
     parser.add_argument("--ranks", type=int, help="simulated rank count")
     parser.add_argument("--tol", type=float)
@@ -113,7 +111,7 @@ _CONFIG_PARSERS = {
     "histories": lambda v: _grid_values(v, _integer),
     "ranking": lambda v: _grid_values(v, _integer),
     "epsilon": lambda v: _grid_values(v, _number),
-    "problem": _text, "relax_on": _text, "out": _text,
+    "problem": _text, "out": _text,
     "steps": _integer, "ranks": _integer, "max_iters": _integer,
     "tol": _number, "omega0": _number,
     # one accelerator name, or a list of them

@@ -35,7 +35,6 @@ class SweepSpec:
     epsilon: tuple[float, ...] = (0.0, 1e-9, 1e-7, 1e-5, 1e-3, 0.1)
     problem: str = "linear"
     accelerator: str = "ciqn"
-    relax_on: str = "displacement"
     steps: int = 50
     ranks: int = 1
     tol: float = 1e-6
@@ -55,7 +54,7 @@ class SweepSpec:
         if self.accelerator not in ACCELERATORS:
             raise ValueError("accelerator must be one of %s"
                              % ", ".join(ACCELERATORS))
-        check_problem(self.problem, self.relax_on, dict(self.problem_params))
+        check_problem(self.problem, dict(self.problem_params))
         for cell in itertools.product(self.histories, self.ranking,
                                       self.epsilon):
             self.config(*cell)
@@ -91,8 +90,8 @@ def _population_stats(values) -> tuple[float, float]:
 def run_cell(spec: SweepSpec, histories: int, ranking: int,
              epsilon: float) -> CellStats:
     """Run one simulation for one grid cell of the sweep."""
-    problem = make_problem(spec.problem, relax_on=spec.relax_on,
-                           seed=spec.seed, **dict(spec.problem_params))
+    problem = make_problem(spec.problem, seed=spec.seed,
+                           **dict(spec.problem_params))
     result = solve_coupled(problem, spec.config(histories, ranking, epsilon),
                            spec.steps,
                            accelerator=spec.accelerator, nranks=spec.ranks)

@@ -26,9 +26,6 @@ from . import field
 from .field import InterfaceVector
 
 
-RELAX_ON = ("displacement", "force")
-
-
 def _finite_or_raise(full: np.ndarray) -> None:
     if not np.all(np.isfinite(full)):
         raise ValueError("non-finite interface state")
@@ -45,9 +42,10 @@ class LinearFixedPoint:
     the Newton step of an affine map.
     """
 
-    def __init__(self, matrix: np.ndarray, offset: np.ndarray,
-                 drift_amplitude: float = 0.3,
-                 drift_frequency: float = 0.93):
+    drift_amplitude = 0.3
+    drift_frequency = 0.93
+
+    def __init__(self, matrix: np.ndarray, offset: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
         offset = np.asarray(offset, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -55,8 +53,6 @@ class LinearFixedPoint:
         if offset.shape != (matrix.shape[0],):
             raise ValueError("offset size mismatch")
         self.matrix, self.offset = matrix, offset
-        self.drift_amplitude = drift_amplitude
-        self.drift_frequency = drift_frequency
 
     @functools.cached_property
     def spectral_radius(self) -> float:
@@ -103,9 +99,7 @@ class AddedMassPiston:
     with unit spectral radius, so plain Picard iteration diverges by a
     factor of about mu per sweep -- the classic incompressible
     added-mass instability.  The per-step target is a loaded patch
-    scaled by a slowly varying forcing; with ``relax_on="force"`` the
-    iterated trace is the force (target scaled by the stiffness),
-    otherwise the displacement.
+    scaled by a slowly varying forcing.
 
     The default forcing frequency is deliberately not a round multiple
     of the sampling rate: consecutive targets must never coincide, or a
@@ -115,10 +109,8 @@ class AddedMassPiston:
 
     dim: int = 64
     mass_ratio: float = 5.0
-    stiffness: float = 1.0
     time_step: float = 0.1
     neighbor_coupling: float = 0.3
-    relax_on: str = "displacement"
     forcing_offset: float = 0.5
     forcing_amplitude: float = 0.4
     forcing_frequency: float = 0.93
@@ -130,8 +122,6 @@ class AddedMassPiston:
             raise ValueError("mass_ratio must be > 0")
         if not 0 <= self.neighbor_coupling <= 0.5:
             raise ValueError("neighbor_coupling must be in [0, 0.5]")
-        if self.relax_on not in RELAX_ON:
-            raise ValueError("relax_on must be 'displacement' or 'force'")
         # a loaded patch, not a smooth profile: its sharp edges excite
         # stencil modes across the whole spectrum, which is what makes
         # scalar relaxation work for its living here
@@ -149,8 +139,7 @@ class AddedMassPiston:
         return self.forcing_offset + self.forcing_amplitude * np.sin(phase)
 
     def target(self, time_index: int) -> np.ndarray:
-        scale = self.stiffness if self.relax_on == "force" else 1.0
-        return scale * self.forcing(time_index) * self.profile
+        return self.forcing(time_index) * self.profile
 
     def _smooth(self, dev: np.ndarray) -> np.ndarray:
         c = self.neighbor_coupling
@@ -182,9 +171,7 @@ class TwoInterfaceBlock(LinearFixedPoint):
     def __init__(self, block_a: np.ndarray, block_b: np.ndarray,
                  coupling_ab: np.ndarray, coupling_ba: np.ndarray,
                  offset_a: np.ndarray, offset_b: np.ndarray,
-                 cross_coupling: float = 0.0,
-                 drift_amplitude: float = 0.3,
-                 drift_frequency: float = 0.93):
+                 cross_coupling: float = 0.0):
         block_a = np.asarray(block_a, dtype=np.float64)
         block_b = np.asarray(block_b, dtype=np.float64)
         self.size_a = block_a.shape[0]
@@ -192,8 +179,7 @@ class TwoInterfaceBlock(LinearFixedPoint):
         top = np.hstack([block_a, cross_coupling * coupling_ab])
         bottom = np.hstack([cross_coupling * coupling_ba, block_b])
         super().__init__(np.vstack([top, bottom]),
-                         np.concatenate([offset_a, offset_b]),
-                         drift_amplitude, drift_frequency)
+                         np.concatenate([offset_a, offset_b]))
         self.cross_coupling = cross_coupling
 
     @classmethod
@@ -235,38 +221,34 @@ class TwoInterfaceBlock(LinearFixedPoint):
         return float(np.linalg.norm(r[rows_a])), float(np.linalg.norm(r[rows_b]))
 
 
-# the parameters ``make_problem`` takes for each problem, besides
-# relax_on and seed, with their defaults
+# the parameters ``make_problem`` takes for each problem, besides seed,
+# with their defaults
 PARAMETERS = {
     "linear": {"dim": 8, "spectral_radius": 0.5},
-    "piston": {f.name: f.default for f in dataclasses.fields(AddedMassPiston)
-               if f.name != "relax_on"},
+    "piston": {f.name: f.default for f in dataclasses.fields(AddedMassPiston)},
     "two": {"dim": 12, "contraction": 0.6, "cross_coupling": 0.2},
 }
 PROBLEMS = tuple(PARAMETERS)
 
 
-def check_problem(name: str, relax_on: str, params) -> None:
+def check_problem(name: str, params) -> None:
     """ValueError unless ``make_problem`` takes these; builds nothing."""
     if name not in PROBLEMS:
         raise ValueError("unknown problem %r" % name)
-    if relax_on not in RELAX_ON:
-        raise ValueError("relax_on must be 'displacement' or 'force'")
     unknown = set(params) - set(PARAMETERS[name])
     if unknown:
         raise ValueError("unknown %s parameters: %s"
                          % (name, ", ".join(sorted(unknown))))
 
 
-def make_problem(name: str, relax_on: str = "displacement", seed: int = 0,
-                 **params):
+def make_problem(name: str, seed: int = 0, **params):
     """Build a model problem by short name (one of PROBLEMS)."""
-    check_problem(name, relax_on, params)
+    check_problem(name, params)
     # each value takes its default's type
     args = {key: type(default)(params.get(key, default))
             for key, default in PARAMETERS[name].items()}
     if name == "piston":
-        return AddedMassPiston(relax_on=relax_on, **args)
+        return AddedMassPiston(**args)
     if name == "linear":
         return LinearFixedPoint.random_contraction(seed=seed, **args)
     half = args.pop("dim") // 2

@@ -37,7 +37,7 @@ call them (for a C-ordered or 1-by-1 triangle: through its transpose).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from math import copysign, sqrt
+from math import copysign, frexp, ldexp, sqrt
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs
@@ -397,7 +397,11 @@ def back_substitute(stack: HouseholderStack, rhs: np.ndarray,
     many orders below any diagonal a usable column can produce.
     """
     upper = stack.upper
-    floor = 4.0 * layout.global_size * 2.0 ** -52 * sqrt((upper * upper).sum())
+    # squares of U / 2^e cannot overflow; the root is scaled back exactly
+    e = frexp(np.abs(upper).max(initial=0.0))[1]
+    scaled = np.ldexp(upper, -e)
+    floor = ldexp(4.0 * layout.global_size * 2.0 ** -52
+                  * sqrt((scaled * scaled).sum()), e)
     if (np.abs(upper.diagonal()) <= floor).any():
         raise SingularUpperError("singular U")
     if floor != floor or not np.isfinite(rhs).all():  # floor: a NaN in U

@@ -1,5 +1,7 @@
 """Command line parsing and end-to-end subcommand runs."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -78,6 +80,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ('{"out": 3}', "'out': expected a string, got 3"),
     ('{"accel": 3}', "'accel': expected a string, got 3"),
     ('{"accel": ["ciqn", 3]}', "'accel': expected a string, got 3"),
+    ('{"relax_on": "force"}', "unknown config keys: relax_on$"),
 ])
 def test_config_file_errors_exit_before_any_cell(tmp_path, monkeypatch,
                                                  content, message):
@@ -237,6 +240,29 @@ def test_compare_has_no_out_flag(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit, match="^ciqn: compare writes no CSV"):
         cli.main(["compare", "--config", str(config)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_relax_on_is_no_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--problem", "piston", "--relax-on", "force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --relax-on force" \
+        in capsys.readouterr().err
+
+
+def test_flags_config_keys_and_spec_fields_name_the_same_options():
+    # an option must reach every layer or none; the seed comes from
+    # CIQN_SEED, and problem_params is set from Python only
+    parser = cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {action.dest for action in subparsers.choices["sweep"]._actions
+             if action.dest not in ("help", "config")}
+    fields = {"accel" if f.name == "accelerator" else f.name
+              for f in dataclasses.fields(harness.SweepSpec)
+              if f.name not in ("seed", "problem_params")}
+    assert flags == set(cli._CONFIG_PARSERS) == fields
 
 
 @pytest.mark.parametrize("accel", ["ciqn,bogus", ""])

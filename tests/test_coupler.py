@@ -86,8 +86,9 @@ def test_history_store_capacity_zero_ignores_pushes():
 # -- quasi-Newton update ------------------------------------------------
 
 def test_scalar_walkthrough():
-    # x -> 0.5x + 1 from x=0: r0=1, relaxed to x=0.1, and the single
-    # secant column lands the third evaluation on the fixed point 2
+    # x -> 0.5x + 1 from x=0: x_tilde=1 and r0=1, so the startup step
+    # goes to x_tilde + omega0 r0 = 1.1, whose residual is 0.45; the
+    # single secant column lands the third evaluation on the fixed point 2
     cfg = CouplerConfig(histories=0, ranking=1, epsilon=0.0,
                         tol=1e-6, max_iters=10)
     res = solve_coupled(scalar_problem(), cfg, n_steps=1)

@@ -38,7 +38,7 @@ def test_single_cell_linear():
     {"epsilon": (0.0, float("nan"))},
     {"tol": float("nan")},
     {"histories": (0, -1)},
-    {"relax_on": "pressure"},
+    {"problem": "piston", "problem_params": (("relax_on", "force"),)},
     {"problem": "beam"},
     {"accelerator": "broyden"},
     {"histories": ()},

@@ -81,12 +81,6 @@ def test_piston_validation():
         AddedMassPiston(8, neighbor_coupling=0.9)
 
 
-def test_piston_rejects_unknown_relax_on():
-    # checked at construction, not only on the make_problem path
-    with pytest.raises(ValueError, match="relax_on"):
-        AddedMassPiston(8, relax_on="pressure")
-
-
 def test_piston_target_is_its_own_fixed_point():
     pis = AddedMassPiston(16)
     for t in (0, 2, 7):
@@ -109,13 +103,6 @@ def test_piston_consecutive_targets_differ():
     targets = [pis.target(t) for t in range(80)]
     for a, b in zip(targets, targets[1:]):
         assert np.max(np.abs(a - b)) > 1e-3
-
-
-def test_piston_force_mode_scales_target():
-    disp = AddedMassPiston(8, stiffness=2.0, relax_on="displacement")
-    force = AddedMassPiston(8, stiffness=2.0, relax_on="force")
-    np.testing.assert_allclose(force.target(1), 2.0 * disp.target(1),
-                               rtol=1e-15)
 
 
 def test_piston_profile_is_a_loaded_patch():
@@ -190,9 +177,8 @@ def test_make_problem_forwards_parameters():
     lin = make_problem("linear", dim=5, spectral_radius=0.3, seed=9)
     assert lin.dimension == 5
     assert lin.spectral_radius == pytest.approx(0.3, rel=1e-12)
-    pis = make_problem("piston", relax_on="force", dim=10, mass_ratio=3.0)
+    pis = make_problem("piston", dim=10, mass_ratio=3.0)
     assert pis.dimension == 10 and pis.mass_ratio == 3.0
-    assert pis.relax_on == "force"
     two = make_problem("two", dim=10, cross_coupling=0.1)
     assert two.dimension == 10 and two.cross_coupling == 0.1
 
@@ -200,7 +186,9 @@ def test_make_problem_forwards_parameters():
 @pytest.mark.parametrize("name,params", [
     ("linear", {"dimm": 3}), ("two", {"dimm": 4}),
     ("linear", {"dim": 4, "mass_ratio": 2.0}),
-    ("two", {"spectral_radius": 0.3})])
+    ("two", {"spectral_radius": 0.3}),
+    ("piston", {"relax_on": "force"}),
+    ("piston", {"dim": 8, "stiffness": 2.0})])
 def test_make_problem_rejects_unknown_parameters(name, params):
     unknown = sorted(set(params) - {"dim"})
     with pytest.raises(ValueError, match=", ".join(unknown)):

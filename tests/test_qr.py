@@ -312,6 +312,21 @@ def test_back_substitute_flags_negligible_diagonal():
         back_substitute(stack, np.array([1.0, 1.0]), comm, layout)
 
 
+def test_back_substitute_floor_holds_at_extreme_scales():
+    # an unscaled sum of squares overflows at entries near 1e200, which
+    # calls a well-conditioned triangle singular, and underflows to 0 at
+    # 1e-200, which lets a negligible diagonal through
+    layout, comm = single_rank(2)
+    ones = np.array([1.0, 1.0])
+    for scale in (1e200, 1e-200):
+        good = HouseholderStack([], scale * np.array([[1.0, 1.0], [0, 1.0]]))
+        np.testing.assert_array_equal(
+            back_substitute(good, ones, comm, layout), [0.0, 1.0 / scale])
+        flat = HouseholderStack([], scale * np.array([[1.0, 1.0], [0, 1e-18]]))
+        with pytest.raises(SingularUpperError):
+            back_substitute(flat, ones, comm, layout)
+
+
 # -- reconstruct --------------------------------------------------------
 
 def test_reconstruct_recovers_columns():
