@@ -26,9 +26,12 @@ from . import field
 from .field import InterfaceVector
 
 
-def _finite_or_raise(full: np.ndarray) -> None:
+def _map_gathered(x: InterfaceVector, fn) -> InterfaceVector:
+    """Gather x, reject it if non-finite, map it whole, distribute."""
+    full = field.gather(x)
     if not np.all(np.isfinite(full)):
         raise ValueError("non-finite interface state")
+    return field.distribute(x.layout, x.comm, fn(full))
 
 
 class LinearFixedPoint:
@@ -60,7 +63,7 @@ class LinearFixedPoint:
 
     @classmethod
     def random_contraction(cls, dim: int, spectral_radius: float = 0.5,
-                           seed: int = 0) -> "LinearFixedPoint":
+                           seed=0) -> "LinearFixedPoint":
         rng = np.random.default_rng(seed)
         matrix = rng.standard_normal((dim, dim))
         rho = np.max(np.abs(np.linalg.eigvals(matrix)))
@@ -79,10 +82,9 @@ class LinearFixedPoint:
             2.0 * np.pi * self.drift_frequency * time_index * 0.1)
 
     def evaluate(self, x: InterfaceVector, time_index: int) -> InterfaceVector:
-        full = field.gather(x)
-        _finite_or_raise(full)
-        out = self.matrix @ full + self._ramp(time_index) * self.offset
-        return field.distribute(x.layout, x.comm, out)
+        ramp = self._ramp(time_index)
+        return _map_gathered(
+            x, lambda full: self.matrix @ full + ramp * self.offset)
 
     def exact_solution(self, time_index: int) -> np.ndarray:
         eye = np.eye(self.dimension)
@@ -147,11 +149,9 @@ class AddedMassPiston:
                                             + np.roll(dev, -1))
 
     def evaluate(self, x: InterfaceVector, time_index: int) -> InterfaceVector:
-        full = field.gather(x)
-        _finite_or_raise(full)
         goal = self.target(time_index)
-        out = goal - self.mass_ratio * self._smooth(full - goal)
-        return field.distribute(x.layout, x.comm, out)
+        return _map_gathered(
+            x, lambda full: goal - self.mass_ratio * self._smooth(full - goal))
 
     def exact_solution(self, time_index: int) -> np.ndarray:
         return self.target(time_index)
@@ -168,46 +168,29 @@ class TwoInterfaceBlock(LinearFixedPoint):
     block.
     """
 
-    def __init__(self, block_a: np.ndarray, block_b: np.ndarray,
-                 coupling_ab: np.ndarray, coupling_ba: np.ndarray,
-                 offset_a: np.ndarray, offset_b: np.ndarray,
-                 cross_coupling: float = 0.0):
-        block_a = np.asarray(block_a, dtype=np.float64)
-        block_b = np.asarray(block_b, dtype=np.float64)
-        self.size_a = block_a.shape[0]
-        self.size_b = block_b.shape[0]
-        top = np.hstack([block_a, cross_coupling * coupling_ab])
-        bottom = np.hstack([cross_coupling * coupling_ba, block_b])
-        super().__init__(np.vstack([top, bottom]),
-                         np.concatenate([offset_a, offset_b]))
-        self.cross_coupling = cross_coupling
-
     @classmethod
     def make(cls, size_a: int, size_b: int, contraction: float = 0.6,
              cross_coupling: float = 0.2, seed: int = 0,
              identical_halves: bool = False) -> "TwoInterfaceBlock":
+        """Draw A's block and offset, then B's (B is A with
+        ``identical_halves``), then the AB and BA couplings, one stream."""
+        if identical_halves and size_b != size_a:
+            raise ValueError("identical halves need equal sizes")
         rng = np.random.default_rng(seed)
+        a = LinearFixedPoint.random_contraction(size_a, contraction, rng)
+        b = a if identical_halves else \
+            LinearFixedPoint.random_contraction(size_b, contraction, rng)
 
-        def contractive(n):
-            m = rng.standard_normal((n, n))
-            return m * (contraction / np.max(np.abs(np.linalg.eigvals(m))))
-
-        def unit_norm(shape):
+        def coupling(shape):
             m = rng.standard_normal(shape)
-            return m / np.linalg.norm(m, 2)
+            return cross_coupling * (m / np.linalg.norm(m, 2))
 
-        block_a = contractive(size_a)
-        offset_a = rng.standard_normal(size_a)
-        if identical_halves:
-            if size_b != size_a:
-                raise ValueError("identical halves need equal sizes")
-            block_b, offset_b = block_a.copy(), offset_a.copy()
-        else:
-            block_b = contractive(size_b)
-            offset_b = rng.standard_normal(size_b)
-        return cls(block_a, block_b, unit_norm((size_a, size_b)),
-                   unit_norm((size_b, size_a)), offset_a, offset_b,
-                   cross_coupling)
+        problem = cls(np.block([[a.matrix, coupling((size_a, size_b))],
+                                [coupling((size_b, size_a)), b.matrix]]),
+                      np.concatenate([a.offset, b.offset]))
+        problem.size_a, problem.size_b = size_a, size_b
+        problem.cross_coupling = cross_coupling
+        return problem
 
     @property
     def interface_rows(self) -> tuple[slice, slice]:
@@ -239,6 +222,9 @@ def check_problem(name: str, params) -> None:
     if unknown:
         raise ValueError("unknown %s parameters: %s"
                          % (name, ", ".join(sorted(unknown))))
+    least = 2 if name == "two" else 1  # "two" needs a row per surface
+    if int(params.get("dim", least)) < least:
+        raise ValueError("%s needs dim >= %d" % (name, least))
 
 
 def make_problem(name: str, seed: int = 0, **params):
@@ -251,5 +237,6 @@ def make_problem(name: str, seed: int = 0, **params):
         return AddedMassPiston(**args)
     if name == "linear":
         return LinearFixedPoint.random_contraction(seed=seed, **args)
-    half = args.pop("dim") // 2
-    return TwoInterfaceBlock.make(size_a=half, size_b=half, seed=seed, **args)
+    dim = args.pop("dim")
+    return TwoInterfaceBlock.make(size_a=dim // 2, size_b=dim - dim // 2,
+                                  seed=seed, **args)

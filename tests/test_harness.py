@@ -59,6 +59,21 @@ def test_sweep_spec_rejects_bad_values_before_any_cell(bad, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem,dim", [("piston", 0), ("linear", 0),
+                                         ("two", 1)])
+def test_sweep_spec_rejects_too_small_dims_before_any_cell(
+        problem, dim, monkeypatch, tmp_path):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(harness, "make_problem", no_build)
+    out = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match="dim"):
+        run_sweep(SweepSpec(problem=problem, problem_params=(("dim", dim),),
+                            steps=1, out=str(out)))
+    assert not out.exists()
+
+
 def test_csv_row_formats():
     cell = CellStats(2, 5, 1e-9, 3.5, 0.25, False, 1)
     assert csv_row(cell) == "2,5,1e-09,3.500000,0.250000,False,1"

@@ -129,3 +129,23 @@ def test_tracer_wrappers_run_the_kernels_they_wrap():
     assert sum(entry["allreduce"][0]
                for (sid, rank), entry in tracer.collectives.items()
                if sid in decompose_spans and rank == 0) == 2 * 3 - 1
+
+
+def test_every_traced_evaluate_gathers_under_its_own_span():
+    # the solve's final gather alone gives the tracer a ``gather`` span,
+    # so check that each evaluation's own gather is traced as its child:
+    # one bound at import would escape the wrapper and zero its time
+    instrument = load_instrument()
+    tracer = instrument.Tracer(run=0)
+    config = coupler.CouplerConfig(epsilon=1e-9, histories=1)
+    with instrument.Patches() as patches:
+        tracer.install(patches)
+        for name, dim in (("linear", 8), ("piston", 8), ("two", 12)):
+            coupler.solve_coupled(make_problem(name, seed=0, dim=dim),
+                                  config, 2, nranks=2)
+    gathers = {(span[4], span[5]) for span in tracer.spans
+               if span[1] == "gather"}
+    evaluations = [span for span in tracer.spans if span[1] == "evaluate"]
+    assert {span[5] for span in evaluations} == {0, 1}
+    for span in evaluations:
+        assert (span[0], span[5]) in gathers, span

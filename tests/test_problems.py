@@ -145,6 +145,45 @@ def test_two_interface_exact_solution_and_residuals():
         assert ra <= 1e-12 and rb <= 1e-12
 
 
+def two_surface_recipe(size_a, size_b, seed, contraction=0.6,
+                       cross_coupling=0.2, identical_halves=False):
+    """The two-surface matrix and offset, drawn step by step from one
+    stream: A's block then A's offset, then B's, then AB, then BA."""
+    rng = np.random.default_rng(seed)
+
+    def surface(n):
+        block = rng.standard_normal((n, n))
+        block *= contraction / np.max(np.abs(np.linalg.eigvals(block)))
+        return block, rng.standard_normal(n)
+
+    def coupling(shape):
+        m = rng.standard_normal(shape)
+        return cross_coupling * (m / np.linalg.norm(m, 2))
+
+    block_a, offset_a = surface(size_a)
+    block_b, offset_b = (block_a, offset_a) if identical_halves \
+        else surface(size_b)
+    ab = coupling((size_a, size_b))
+    ba = coupling((size_b, size_a))
+    return (np.vstack([np.hstack([block_a, ab]), np.hstack([ba, block_b])]),
+            np.concatenate([offset_a, offset_b]))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"size_a": 6, "size_b": 6, "seed": 8},
+    {"size_a": 5, "size_b": 4, "seed": 4},
+    {"size_a": 6, "size_b": 6, "seed": 2, "cross_coupling": 0.0,
+     "identical_halves": True},
+])
+def test_two_interface_draws_are_pinned(kwargs):
+    two = TwoInterfaceBlock.make(**kwargs)
+    matrix, offset = two_surface_recipe(**kwargs)
+    assert two.matrix.tobytes() == matrix.tobytes()
+    assert two.offset.tobytes() == offset.tobytes()
+    assert (two.size_a, two.size_b) == (kwargs["size_a"], kwargs["size_b"])
+    assert two.cross_coupling == kwargs.get("cross_coupling", 0.2)
+
+
 # -- evaluation is partition independent --------------------------------
 
 @pytest.mark.parametrize("make", [
@@ -199,3 +238,20 @@ def test_make_problem_rejects_unknown_relax_on():
     for name in ("linear", "piston", "two"):
         with pytest.raises(ValueError):
             make_problem(name, relax_on="pressure")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 13])
+def test_make_problem_two_builds_odd_dims_whole(dim):
+    two = make_problem("two", dim=dim)
+    assert two.dimension == dim
+    assert (two.size_a, two.size_b) == (dim // 2, dim - dim // 2)
+
+
+@pytest.mark.parametrize("name,dim", [("linear", 0), ("piston", 0),
+                                      ("piston", -3), ("two", 1),
+                                      ("two", 0)])
+def test_make_problem_rejects_too_small_dims(name, dim):
+    with pytest.raises(ValueError, match="dim"):
+        problems.check_problem(name, {"dim": dim})
+    with pytest.raises(ValueError, match="dim"):
+        make_problem(name, dim=dim)
