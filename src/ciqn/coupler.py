@@ -202,7 +202,9 @@ class CiqnAccelerator:
     def __init__(self, config: CouplerConfig):
         self.config = config
         self.history = HistoryStore(config.histories)
-        self._factor = StepFactor()  # one for the whole solve
+        # one per solve: <= 2 reflectors per live pair, plus a step's appends
+        self._factor = StepFactor(2 * config.histories * config.ranking
+                                  + config.max_iters)
         # (factor column of r, x_tilde) of this step, newest first: the
         # newest iterate and the ``ranking`` before it
         self._log: deque = deque(maxlen=config.ranking + 1)
@@ -239,13 +241,12 @@ class CiqnAccelerator:
             # filter off nothing removes the dead column, so take a
             # plain relaxed step instead of solving garbage
             return field.axpy(cfg.omega0, r, x_tilde)
-        local = x_tilde.local.copy()
+        local, work = x_tilde.local.copy(), self._factor.work
         history_w = self.history.w_columns()
         for coef, i in zip(lam, outcome.kept):
-            if i < current:
-                local += coef * (self._log[i + 1][1].local - x_tilde.local)
-            else:
-                local += coef * history_w[i - current].local
+            w = history_w[i - current].local if i >= current else np.subtract(
+                self._log[i + 1][1].local, x_tilde.local, out=work)
+            local += np.multiply(coef, w, out=work)
         return InterfaceVector(r.layout, r.comm, local)
 
     def finish_step(self, converged: bool) -> int:
@@ -291,7 +292,8 @@ class Coupler:
         norms, converged = [], False
         while len(norms) < cfg.max_iters:
             x_tilde = problem.evaluate(self.x, self.time_index)
-            r = field.axpy(-1.0, self.x, x_tilde)
+            r = InterfaceVector(x_tilde.layout, self.comm,
+                                x_tilde.local - self.x.local)
             rr, *sums = field.dots([(r, r)], accel.shares(r))
             norms.append(float(np.sqrt(rr)))
             if not np.isfinite(norms[-1]):

@@ -118,12 +118,7 @@ class AddedMassPiston:
     forcing_frequency: float = 0.93
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.mass_ratio <= 0:
-            raise ValueError("mass_ratio must be > 0")
-        if not 0 <= self.neighbor_coupling <= 0.5:
-            raise ValueError("neighbor_coupling must be in [0, 0.5]")
+        check_problem("piston", vars(self))
         # a loaded patch, not a smooth profile: its sharp edges excite
         # stencil modes across the whole spectrum, which is what makes
         # scalar relaxation work for its living here
@@ -143,15 +138,22 @@ class AddedMassPiston:
     def target(self, time_index: int) -> np.ndarray:
         return self.forcing(time_index) * self.profile
 
-    def _smooth(self, dev: np.ndarray) -> np.ndarray:
-        c = self.neighbor_coupling
-        return (1.0 - c) * dev + 0.5 * c * (np.roll(dev, 1)
-                                            + np.roll(dev, -1))
-
     def evaluate(self, x: InterfaceVector, time_index: int) -> InterfaceVector:
-        goal = self.target(time_index)
-        return _map_gathered(
-            x, lambda full: goal - self.mass_ratio * self._smooth(full - goal))
+        return _map_gathered(x, lambda full: self._respond(full, time_index))
+
+    def _respond(self, full: np.ndarray, time_index: int) -> np.ndarray:
+        """goal - mu ((1 - c) dev + c/2 (roll(dev, 1) + roll(dev, -1))) with
+        dev = full - goal, op for op, over full and two more buffers."""
+        c, n, goal = self.neighbor_coupling, self.dim, self.target(time_index)
+        dev = np.subtract(full, goal, out=full)
+        near = np.empty(n)
+        np.add(dev[:-2], dev[2:], out=near[1:-1])
+        near[0], near[-1] = dev[-1] + dev[1 % n], dev[n - 2] + dev[0]
+        near *= 0.5 * c
+        dev *= 1.0 - c
+        dev += near
+        dev *= self.mass_ratio
+        return np.subtract(goal, dev, out=dev)
 
     def exact_solution(self, time_index: int) -> np.ndarray:
         return self.target(time_index)
@@ -214,25 +216,30 @@ PARAMETERS = {
 PROBLEMS = tuple(PARAMETERS)
 
 
-def check_problem(name: str, params) -> None:
-    """ValueError unless ``make_problem`` takes these; builds nothing."""
+def check_problem(name: str, params) -> dict:
+    """ValueError unless ``make_problem`` takes these; builds nothing.
+    Returns every parameter, each value of its default's type."""
     if name not in PROBLEMS:
         raise ValueError("unknown problem %r" % name)
     unknown = set(params) - set(PARAMETERS[name])
     if unknown:
         raise ValueError("unknown %s parameters: %s"
                          % (name, ", ".join(sorted(unknown))))
+    args = {key: type(default)(params.get(key, default))
+            for key, default in PARAMETERS[name].items()}
     least = 2 if name == "two" else 1  # "two" needs a row per surface
-    if int(params.get("dim", least)) < least:
+    if args["dim"] < least:
         raise ValueError("%s needs dim >= %d" % (name, least))
+    if name == "piston" and not args["mass_ratio"] > 0:
+        raise ValueError("piston needs mass_ratio > 0")
+    if name == "piston" and not 0 <= args["neighbor_coupling"] <= 0.5:
+        raise ValueError("piston needs neighbor_coupling in [0, 0.5]")
+    return args
 
 
 def make_problem(name: str, seed: int = 0, **params):
     """Build a model problem by short name (one of PROBLEMS)."""
-    check_problem(name, params)
-    # each value takes its default's type
-    args = {key: type(default)(params.get(key, default))
-            for key, default in PARAMETERS[name].items()}
+    args = check_problem(name, params)
     if name == "piston":
         return AddedMassPiston(**args)
     if name == "linear":

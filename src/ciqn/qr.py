@@ -27,23 +27,38 @@ r . r (Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976); every
 secant column, the history's too, is a difference of two of F's
 columns, picked from R_F locally.  A step start rebuilds F from its
 live columns, also locally, once they number less than half its
-reflectors.  ``decompose`` and ``apply_qt`` are front-ends over it,
-kept for the tests and the benchmark's tracer.  The replicated kernels
-call LAPACK's ``dgeqrf``, ``dorgqr`` and ``dtrtrs`` directly, never on
-an empty shape, as ``np.linalg.qr`` and ``scipy.linalg.solve_triangular``
-call them (for a C-ordered or 1-by-1 triangle: through its transpose).
+reflectors, the rows of one block allocated once per solve.
+``decompose`` and ``apply_qt`` are front-ends over it, kept for the
+tests and the benchmark's tracer.  The replicated kernels call LAPACK's
+``dgeqrf``, ``dorgqr`` and ``dtrtrs`` directly, loading scipy.linalg
+(slower to import than ciqn) at the first call, never on an empty
+shape, as ``np.linalg.qr`` and ``scipy.linalg.solve_triangular`` call
+them (for a C-ordered or 1-by-1 triangle: through its transpose).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from math import copysign, frexp, ldexp, sqrt
+from math import copysign, frexp, inf, ldexp, sqrt
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs
 
 from .field import InterfaceVector, PartitionLayout, _check_compatible
 from .runtime import RankComm
+
+
+def _lapack(name: str):
+    """scipy's LAPACK ``name``, imported at its first call, not with ciqn."""
+    def load(*args, **kwargs):
+        from scipy.linalg import lapack
+        if globals()[name] is load:  # not where a wrapper was patched in
+            globals()[name] = getattr(lapack, name)
+        return getattr(lapack, name)(*args, **kwargs)
+    return load
+
+
+dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs = map(
+    _lapack, ("dgeqrf", "dgeqrf_lwork", "dorgqr", "dtrtrs"))
 
 
 class EmptySecantSpaceError(RuntimeError):
@@ -114,14 +129,14 @@ def _head_share(layout: PartitionLayout, rank: int, local: np.ndarray,
 
 def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
                            col: np.ndarray, pivot: int, extra=()):
-    """Build the reflector zeroing ``col`` below global row ``pivot``.
+    """Turn ``col`` into the reflector zeroing it below global row ``pivot``.
 
     Rows before the pivot are treated as zero: they hold already-computed
     triangle entries and must not move again.  Costs one reduction, which
-    also sums ``extra``.  Returns (u_local, alpha, nrm, head, extra
-    summed): u = (col from the pivot down - alpha e_pivot) / nrm, with
-    nrm = 0 for the identity, and ``head`` holds rows 0..pivot of col,
-    replicated.
+    also sums ``extra``.  Returns (alpha, nrm, head, extra summed): col
+    becomes u = (col from the pivot down - alpha e_pivot) / nrm, with
+    nrm = 0 and u = 0 for the identity, and ``head`` holds rows 0..pivot
+    of col, replicated.
     """
     start = layout.starts[comm.rank]
     before = _rows_before(layout, comm.rank, pivot)
@@ -134,16 +149,17 @@ def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
     if sigma == 0.0 or pivot_value == sigma:
         # a zero column, or one that already has the right shape (keep
         # its positive pivot)
-        return np.zeros_like(col), sigma, 0.0, head, extra
+        col[:] = 0.0
+        return sigma, 0.0, head, extra
     alpha = -copysign(sigma, pivot_value)
     # ||col - alpha*e_pivot|| via replicated scalars; the sign choice
     # makes pivot_value - alpha an addition, never a cancellation
     nrm = sqrt(2.0 * sigma * (sigma + abs(pivot_value)))
-    u = col / nrm
-    u[:before] = 0.0
+    col /= nrm
+    col[:before] = 0.0
     if start <= pivot < start + len(col):
-        u[pivot - start] = (pivot_value - alpha) / nrm
-    return u, alpha, nrm, head, extra
+        col[pivot - start] = (pivot_value - alpha) / nrm
+    return alpha, nrm, head, extra
 
 
 def _qr(m: np.ndarray, reduced: bool = False):
@@ -199,7 +215,7 @@ def decompose(columns: list[InterfaceVector], epsilon: float):
         raise EmptySecantSpaceError([], 0)
     for c in columns[1:]:
         _check_compatible(columns[0], c)
-    step = StepFactor()
+    step = StepFactor(len(columns))
     for c in columns:
         shares = step.shares(c)
         step.append(c, c.comm.allreduce_sum_array(shares) if shares
@@ -239,13 +255,18 @@ class StepFactor:
     Q_F^T F, F's column 0 being zero.  Q_F = I - Y T Y^T in compact WY
     form (Schreiber and Van Loan 1989), T and Y's pivot rows replicated;
     ``compact`` rebuilds it from the columns later steps can use.
+
+    Y's rows fill a C-ordered (min(p, ``bound``), local rows) block from
+    the top, ``bound`` the most reflectors F holds at once; ``work`` is a
+    spare local row, scratch to ``append`` and to its caller between calls.
     """
 
     _CHUNK = 4096  # interface rows ``compact`` rewrites at a time
     reflectors = property(lambda self: len(self._y))
 
-    def __init__(self):
-        self._y: list[InterfaceVector] = []  # unit reflectors, or zero
+    def __init__(self, bound: float = inf):
+        self.bound, self._block = bound, None
+        self._y: list[InterfaceVector] = []  # views of the block's rows
         self._t = self._y_head = np.zeros((0, 0))
         self._upper = np.zeros((0, 1))
 
@@ -261,19 +282,21 @@ class StepFactor:
         One reduction builds the reflector and carries Y's products for
         T's new column; none once F has a reflector per interface row."""
         self.layout, self.comm = layout, comm = r.layout, r.comm
-        col, n, summed = r.local, len(self._y), np.asarray(summed)
-        if n:
-            if n == layout.global_size:
-                self._upper = np.column_stack(
-                    [self._upper, _qt_head(self._t, self._y_head, summed)])
-                return self._upper.shape[1] - 1
-            coefs = self._t.T @ summed
-            col = col.copy()
-            for coef, y in zip(coefs, self._y):
-                col -= coef * y.local
+        n, summed = len(self._y), np.asarray(summed)
+        if n == layout.global_size:
+            self._upper = np.column_stack(
+                [self._upper, _qt_head(self._t, self._y_head, summed)])
+            return self._upper.shape[1] - 1
+        if self._block is None:
+            shape = (min(layout.global_size, self.bound), len(r.local))
+            self._block, self.work = np.empty(shape), np.empty(shape[1:])
+        col = self._block[n]
+        col[:] = r.local
+        for coef, y in zip(self._t.T @ summed, self._y):
+            col -= np.multiply(coef, y.local, out=self.work)
         before = _rows_before(layout, comm.rank, n)
         owns = before < len(col) and layout.starts[comm.rank] + before == n
-        u, alpha, nrm, head, extra = _reflector_from_column(
+        alpha, nrm, head, extra = _reflector_from_column(
             layout, comm, col, n, np.array(
                 [y.local[before:] @ col[before:] for y in self._y]
                 + [y.local[before] if owns else -0.0 for y in self._y]))
@@ -286,7 +309,7 @@ class StepFactor:
         self._y_head = _bordered(self._y_head, y_row,
                                  (head[-1] - alpha) / nrm if nrm else 0.0)
         self._upper = _bordered(self._upper, head[:-1], alpha)
-        self._y.append(InterfaceVector(layout, comm, u))
+        self._y.append(InterfaceVector(layout, comm, col))
         return self._upper.shape[1] - 1
 
     def _floor(self) -> float:
@@ -359,19 +382,17 @@ class StepFactor:
         # product, with T = D^-1 T' D^-1
         d = np.sqrt(np.diagonal(t) / 2.0)
         self._t, self._y_head = t / np.outer(d, d), d[:, None] * lower.T
-        start, count = (self.layout.starts[self.comm.rank],
-                        self.layout.counts[self.comm.rank])
+        start, count = self.layout.starts[self.comm.rank], len(self.work)
         # below its head, the LU's unit triangle, Y' = B U^-1
         #     = [Q_s; 0] U^-1 - Y G U^-1, written over Y by row chunks
         q_u, g_u = (dtrtrs(upper.T, m.T, lower=1)[0] for m in (q_s, g))
         for a in range(0, count, self._CHUNK):
             rows = np.arange(start + a, start + min(a + self._CHUNK, count))
-            chunk = -g_u @ np.array([y.local[a:a + len(rows)]
-                                     for y in self._y])
+            y = self._block[:n, a:a + len(rows)]
+            chunk = -g_u @ y
             chunk[:, rows < n] += q_u[:, rows[rows < n]]
             chunk[:, rows < q] = lower[rows[rows < q]].T
-            for y, row, scale in zip(self._y, chunk, d):
-                y.local[a:a + len(rows)] = scale * row
+            np.multiply(d[:, None], chunk, out=y[:q])
         del self._y[q:]
         self._upper = np.column_stack([np.zeros(q), signs[:, None] * r_s])
         return {pair: (j + 1, 0) for j, pair in enumerate(live)}

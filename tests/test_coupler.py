@@ -180,9 +180,9 @@ def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
 
     real_init = qr.StepFactor.__init__
 
-    def counted_init(self):
+    def counted_init(self, bound):
         made.append(threading.current_thread().name)
-        real_init(self)
+        real_init(self, bound)
 
     monkeypatch.setattr(qr.StepFactor, "__init__", counted_init)
     for name in ("append", "compact", "factor"):
@@ -241,9 +241,9 @@ def test_history_factored_once_per_step(monkeypatch):
     real_compact = qr.StepFactor.compact
     made, appends, compactions = [], [], []
 
-    def counted_init(self):
+    def counted_init(self, bound):
         made.append(self)
-        real_init(self)
+        real_init(self, bound)
 
     def counted_append(self, r, summed):
         appends.append((r, self.reflectors < r.layout.global_size))
@@ -315,6 +315,53 @@ def test_carried_factor_stays_bounded(monkeypatch):
         assert all(type(i) is int for pair in columns for i in pair)
         assert len(w_columns) == len(columns)
         assert all(isinstance(w, InterfaceVector) for w in w_columns)
+
+
+@pytest.mark.parametrize("name,dim,counts,config", [
+    # 2 T ranking + max_iters = 40 < p: the config bounds F
+    ("piston", 200, [70, 130], CouplerConfig(histories=1, ranking=5,
+                                             epsilon=1e-9, tol=1e-8,
+                                             max_iters=30)),
+    # appends reach p = 9 reflectors, the capacity
+    ("linear", 9, [1, 2, 6], CouplerConfig(histories=2, ranking=5,
+                                           epsilon=1e-9, tol=1e-8)),
+])
+def test_factor_keeps_y_in_one_block_of_the_configs_capacity(
+        monkeypatch, name, dim, counts, config):
+    # each rank's factor allocates one (capacity, local rows) block for
+    # the solve, min(p, 2 T ranking + max_iters) rows; reflector j is a
+    # view of its row j, in F and in every stack ``factor`` returns, and
+    # no solve holds more reflectors than the block has rows
+    real_init, real_factor = qr.StepFactor.__init__, qr.StepFactor.factor
+    made, blocks, widths = [], {}, []
+
+    def counted_init(self, bound):
+        made.append(self)
+        real_init(self, bound)
+
+    def checked_factor(self, columns, epsilon):
+        out = real_factor(self, columns, epsilon)
+        block = blocks.setdefault(id(self), self._block)
+        assert self._block is block and block.flags.c_contiguous
+        for ys in (self._y, out[0].reflectors):
+            assert all(np.shares_memory(y.local, block[j])
+                       for j, y in enumerate(ys))
+        widths.append(self.reflectors)
+        return out
+
+    monkeypatch.setattr(qr.StepFactor, "__init__", counted_init)
+    monkeypatch.setattr(qr.StepFactor, "factor", checked_factor)
+    result = solve_coupled(problems.make_problem(name, dim=dim), config, 8,
+                           counts=counts)
+    assert all(record.converged for record in result.records)
+    capacity = min(dim, 2 * config.histories * config.ranking
+                   + config.max_iters)
+    assert len(made) == len(blocks) == len(counts)
+    assert {factor.comm.rank: factor._block.shape for factor in made} \
+        == {rank: (capacity, rows) for rank, rows in enumerate(counts)}
+    assert max(widths) <= capacity
+    if capacity == dim:
+        assert max(widths) == dim
 
 
 # criterion 9's two cases on one rank, with their iteration records

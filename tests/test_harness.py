@@ -74,6 +74,21 @@ def test_sweep_spec_rejects_too_small_dims_before_any_cell(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("param,value", [("mass_ratio", 0.0),
+                                         ("neighbor_coupling", 0.7)])
+def test_sweep_spec_rejects_piston_parameters_out_of_range_before_any_cell(
+        param, value, monkeypatch, tmp_path):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(harness, "make_problem", no_build)
+    out = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match=param):
+        run_sweep(SweepSpec(problem="piston", problem_params=((param, value),),
+                            steps=1, out=str(out)))
+    assert not out.exists()
+
+
 def test_csv_row_formats():
     cell = CellStats(2, 5, 1e-9, 3.5, 0.25, False, 1)
     assert csv_row(cell) == "2,5,1e-09,3.500000,0.250000,False,1"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ciqn import coupler, field, problems
-from ciqn.field import PartitionLayout
+from ciqn.field import PartitionLayout, split_evenly
 from ciqn.problems import (AddedMassPiston, LinearFixedPoint,
                            TwoInterfaceBlock, make_problem)
 
@@ -79,6 +79,45 @@ def test_piston_validation():
         AddedMassPiston(8, mass_ratio=0.0)
     with pytest.raises(ValueError):
         AddedMassPiston(8, neighbor_coupling=0.9)
+
+
+@pytest.mark.parametrize("param,value", [
+    ("dim", 0), ("mass_ratio", 0.0), ("mass_ratio", -2.0),
+    ("mass_ratio", float("nan")), ("neighbor_coupling", -0.1),
+    ("neighbor_coupling", 0.7), ("neighbor_coupling", float("nan"))])
+def test_piston_ranges_are_checked_alike_without_a_build(param, value):
+    with pytest.raises(ValueError, match=param):
+        problems.check_problem("piston", {param: value})
+    with pytest.raises(ValueError, match=param):
+        AddedMassPiston(**{"dim": 8, param: value})
+    for coupling in (0.0, 0.5):
+        problems.check_problem("piston", {"neighbor_coupling": coupling})
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 65, 1000])
+def test_piston_map_is_the_roll_formula_bit_for_bit(dim):
+    # evaluate shifts its neighbours by hand into reused buffers; on one
+    # rank and on two it gives the bits of the np.roll formula, op for op,
+    # and leaves the iterate as it found it
+    pis = AddedMassPiston(dim)
+    x_full = np.random.default_rng(dim).standard_normal(dim)
+    c = pis.neighbor_coupling
+
+    def body(comm, layout, time_index):
+        x = field.distribute(layout, comm, x_full)
+        before = x.local.copy()
+        out = field.gather(pis.evaluate(x, time_index))
+        return out.tobytes(), x.local.tobytes() == before.tobytes()
+
+    for time_index in (0, 3, 17):
+        goal = pis.target(time_index)
+        dev = x_full - goal
+        expected = goal - pis.mass_ratio * (
+            (1.0 - c) * dev + 0.5 * c * (np.roll(dev, 1) + np.roll(dev, -1)))
+        for counts in ([dim], split_evenly(dim, 2)):
+            assert on_team(counts, lambda comm, layout: body(
+                comm, layout, time_index)) \
+                == [(expected.tobytes(), True)] * len(counts)
 
 
 def test_piston_target_is_its_own_fixed_point():

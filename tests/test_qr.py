@@ -668,7 +668,7 @@ def test_compaction_is_local_and_rewrites_y_in_place():
     rng = np.random.default_rng(41)
 
     def rebuild(comm, layout, residuals):
-        step = StepFactor()
+        step = StepFactor(8)  # F never holds more than 8 reflectors here
         for column in dense_columns(layout, comm, residuals):
             append(step, column)
         before = dict(comm.counters)
@@ -995,6 +995,23 @@ def check_filter_pass(rows, ncols):
         assert got_rotation.tobytes() == rotation.tobytes()
         drops.append(len(dropped))
     assert drops[0] == 0 and drops[-1] >= 2
+
+
+def test_import_leaves_scipy_to_the_first_lapack_call():
+    # scipy.linalg costs more to import than ciqn and numpy together, so
+    # ``import ciqn`` leaves it out; the first replicated QR of a ciqn
+    # solve loads it
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys\n"
+            "import ciqn\n"
+            "assert 'scipy' not in sys.modules\n"
+            "ciqn.solve_coupled(ciqn.make_problem('linear'),\n"
+            "                   ciqn.CouplerConfig(), 2)\n"
+            "assert 'scipy' in sys.modules\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.join(os.path.dirname(here), "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=here,
+                   check=True, timeout=60)
 
 
 def test_solves_call_lapack_as_scipy_does(monkeypatch):
