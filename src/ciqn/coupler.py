@@ -252,8 +252,8 @@ class CiqnAccelerator:
     def finish_step(self, converged: bool) -> int:
         if converged and len(self._log) > 1:
             (k, x_tilde), *past = self._log
-            self.history.push([(i, k) for i, _ in past],
-                              [field.axpy(-1.0, x_tilde, w) for _, w in past])
+            self.history.push([(i, k) for i, _ in past], [InterfaceVector(
+                w.layout, w.comm, w.local - x_tilde.local) for _, w in past])
         return self._dropped
 
 

@@ -193,8 +193,7 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_accelerators(spec: SweepSpec,
-                         accelerators=("ciqn", "aitken")) -> ComparisonReport:
+def compare_accelerators(spec: SweepSpec, accelerators) -> ComparisonReport:
     """Run the same sweep grid once per accelerator.  An empty list, an
     unknown or repeated name or an ``out`` path (a comparison writes no
     CSV) raises ValueError before the first sweep starts."""

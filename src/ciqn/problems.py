@@ -19,11 +19,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
 from . import field
 from .field import InterfaceVector
+
+
+def _drift(time_index: int, offset: float, amplitude: float) -> float:
+    """offset at step 0, then a sinusoid whose frequency is no round
+    multiple of the sampling: consecutive values never coincide, or a
+    step starts at its own solution and a relative residual tolerance
+    becomes unreachable."""
+    return offset + amplitude * np.sin(2.0 * np.pi * 0.93 * time_index * 0.1)
 
 
 def _map_gathered(x: InterfaceVector, fn) -> InterfaceVector:
@@ -44,9 +53,6 @@ class LinearFixedPoint:
     exactly: after the interface dimension is spanned, the update is
     the Newton step of an affine map.
     """
-
-    drift_amplitude = 0.3
-    drift_frequency = 0.93
 
     def __init__(self, matrix: np.ndarray, offset: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -76,10 +82,7 @@ class LinearFixedPoint:
         return self.matrix.shape[0]
 
     def _ramp(self, time_index: int) -> float:
-        # exactly 1 at step 0, and never the same twice in a row: a step
-        # that starts at its own solution cannot meet a relative tolerance
-        return 1.0 + self.drift_amplitude * np.sin(
-            2.0 * np.pi * self.drift_frequency * time_index * 0.1)
+        return _drift(time_index, 1.0, 0.3)
 
     def evaluate(self, x: InterfaceVector, time_index: int) -> InterfaceVector:
         ramp = self._ramp(time_index)
@@ -102,23 +105,14 @@ class AddedMassPiston:
     factor of about mu per sweep -- the classic incompressible
     added-mass instability.  The per-step target is a loaded patch
     scaled by a slowly varying forcing.
-
-    The default forcing frequency is deliberately not a round multiple
-    of the sampling rate: consecutive targets must never coincide, or a
-    step starts at its own solution and a relative residual tolerance
-    becomes unreachable.
     """
 
     dim: int = 64
     mass_ratio: float = 5.0
-    time_step: float = 0.1
     neighbor_coupling: float = 0.3
-    forcing_offset: float = 0.5
-    forcing_amplitude: float = 0.4
-    forcing_frequency: float = 0.93
 
     def __post_init__(self):
-        check_problem("piston", vars(self))
+        vars(self).update(check_problem("piston", vars(self)))
         # a loaded patch, not a smooth profile: its sharp edges excite
         # stencil modes across the whole spectrum, which is what makes
         # scalar relaxation work for its living here
@@ -131,9 +125,7 @@ class AddedMassPiston:
         return self.dim
 
     def forcing(self, time_index: int) -> float:
-        phase = 2.0 * np.pi * self.forcing_frequency \
-            * time_index * self.time_step
-        return self.forcing_offset + self.forcing_amplitude * np.sin(phase)
+        return _drift(time_index, 0.5, 0.4)
 
     def target(self, time_index: int) -> np.ndarray:
         return self.forcing(time_index) * self.profile
@@ -199,7 +191,7 @@ class TwoInterfaceBlock(LinearFixedPoint):
         return slice(0, self.size_a), slice(self.size_a, self.dimension)
 
     def surface_residuals(self, x_full: np.ndarray,
-                          time_index: int = 0) -> tuple[float, float]:
+                          time_index: int) -> tuple[float, float]:
         """Euclidean residual of each surface's rows at the iterate."""
         r = self.matrix @ x_full + self._ramp(time_index) * self.offset - x_full
         rows_a, rows_b = self.interface_rows
@@ -218,15 +210,25 @@ PROBLEMS = tuple(PARAMETERS)
 
 def check_problem(name: str, params) -> dict:
     """ValueError unless ``make_problem`` takes these; builds nothing.
-    Returns every parameter, each value of its default's type."""
+    Returns every parameter in its default's type, which must hold the
+    value exactly: an integer for an int, a finite number for a float."""
     if name not in PROBLEMS:
         raise ValueError("unknown problem %r" % name)
     unknown = set(params) - set(PARAMETERS[name])
     if unknown:
         raise ValueError("unknown %s parameters: %s"
                          % (name, ", ".join(sorted(unknown))))
-    args = {key: type(default)(params.get(key, default))
-            for key, default in PARAMETERS[name].items()}
+    args = {}
+    for key, default in PARAMETERS[name].items():
+        value, kind = params.get(key, default), type(default)
+        try:
+            exact = kind(value) == value and math.isfinite(value)
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError("%s needs %s %s, got %r" % (
+                name, "an integer" if kind is int else "a finite", key, value))
+        args[key] = kind(value)
     least = 2 if name == "two" else 1  # "two" needs a row per surface
     if args["dim"] < least:
         raise ValueError("%s needs dim >= %d" % (name, least))

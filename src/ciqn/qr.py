@@ -39,7 +39,7 @@ them (for a C-ordered or 1-by-1 triangle: through its transpose).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from math import copysign, frexp, inf, ldexp, sqrt
+from math import copysign, frexp, ldexp, sqrt
 
 import numpy as np
 
@@ -64,11 +64,10 @@ dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs = map(
 class EmptySecantSpaceError(RuntimeError):
     """Every column was filtered out; nothing left to factor."""
 
-    def __init__(self, dropped: list[int], restarts: int):
+    def __init__(self, dropped: list[int]):
         super().__init__("empty secant space: all %d columns filtered"
                          % len(dropped))
-        self.dropped = dropped
-        self.restarts = restarts
+        self.dropped, self.restarts = dropped, len(dropped)
 
 
 class SingularUpperError(RuntimeError):
@@ -81,7 +80,7 @@ class FilterOutcome:
 
     kept: list[int]
     dropped: list[int]
-    restarts: int  # one per drop
+    restarts = property(lambda self: len(self.dropped))  # one per drop
 
 
 @dataclass
@@ -128,7 +127,7 @@ def _head_share(layout: PartitionLayout, rank: int, local: np.ndarray,
 
 
 def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
-                           col: np.ndarray, pivot: int, extra=()):
+                           col: np.ndarray, pivot: int, extra):
     """Turn ``col`` into the reflector zeroing it below global row ``pivot``.
 
     Rows before the pivot are treated as zero: they hold already-computed
@@ -198,10 +197,9 @@ def _triangularize(m: np.ndarray, epsilon: float):
         tri = tri[:, :-1]
         tri[j:, j:] = _qr(tri[j:, j:])
     if not kept:
-        raise EmptySecantSpaceError(dropped, len(dropped))
+        raise EmptySecantSpaceError(dropped)
     q = len(kept)
-    return tri[:q, :q], tri[:q, q:], FilterOutcome(kept, dropped,
-                                                   len(dropped))
+    return tri[:q, :q], tri[:q, q:], FilterOutcome(kept, dropped)
 
 
 def decompose(columns: list[InterfaceVector], epsilon: float):
@@ -212,7 +210,7 @@ def decompose(columns: list[InterfaceVector], epsilon: float):
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     if not columns:
-        raise EmptySecantSpaceError([], 0)
+        raise EmptySecantSpaceError([])
     for c in columns[1:]:
         _check_compatible(columns[0], c)
     step = StepFactor(len(columns))
@@ -264,7 +262,7 @@ class StepFactor:
     _CHUNK = 4096  # interface rows ``compact`` rewrites at a time
     reflectors = property(lambda self: len(self._y))
 
-    def __init__(self, bound: float = inf):
+    def __init__(self, bound: int):
         self.bound, self._block = bound, None
         self._y: list[InterfaceVector] = []  # views of the block's rows
         self._t = self._y_head = np.zeros((0, 0))

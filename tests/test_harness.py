@@ -74,6 +74,24 @@ def test_sweep_spec_rejects_too_small_dims_before_any_cell(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem,param,value", [
+    ("linear", "dim", 4.7), ("two", "dim", 12.9), ("piston", "dim", "16"),
+    ("linear", "spectral_radius", float("nan")),
+    ("two", "contraction", float("inf")),
+    ("piston", "mass_ratio", float("inf"))])
+def test_sweep_spec_rejects_inexact_parameters_before_any_cell(
+        problem, param, value, monkeypatch, tmp_path):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(harness, "make_problem", no_build)
+    out = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match="%s needs .*%s" % (problem, param)):
+        run_sweep(SweepSpec(problem=problem, problem_params=((param, value),),
+                            steps=1, out=str(out)))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("param,value", [("mass_ratio", 0.0),
                                          ("neighbor_coupling", 0.7)])
 def test_sweep_spec_rejects_piston_parameters_out_of_range_before_any_cell(
@@ -167,7 +185,8 @@ def test_compare_rejects_an_out_path_before_any_cell(monkeypatch,
     out = tmp_path / "grid.csv"
     with pytest.raises(ValueError, match="out"):
         compare_accelerators(SweepSpec(**{**TINY_LINEAR.__dict__,
-                                          "out": str(out)}))
+                                          "out": str(out)}),
+                             ("ciqn", "aitken"))
     assert not out.exists()
 
 

@@ -63,7 +63,7 @@ def test_step_wrapper_reads_what_the_coupler_has():
 
 
 def test_qr_exposes_the_outcome_fields_and_errors():
-    outcome = qr.FilterOutcome(kept=[0], dropped=[1], restarts=1)
+    outcome = qr.FilterOutcome(kept=[0], dropped=[1])
     assert (outcome.kept, outcome.dropped, outcome.restarts) == ([0], [1], 1)
     assert "identity_flags" in qr.HouseholderStack.__dataclass_fields__
     assert issubclass(qr.EmptySecantSpaceError, RuntimeError)

@@ -55,6 +55,18 @@ def test_offset_drift_never_repeats_consecutively():
     assert all(a != b for a, b in zip(ramps, ramps[1:]))
 
 
+def test_drifts_are_the_inline_formulas_they_replace_bit_for_bit():
+    # the linear ramp and the piston forcing share one sinusoid helper
+    lin, piston = LinearFixedPoint.random_contraction(4, seed=0), \
+        AddedMassPiston(8)
+    for t in range(60):
+        ramp = 1.0 + 0.3 * np.sin(2.0 * np.pi * 0.93 * t * 0.1)
+        phase = 2.0 * np.pi * 0.93 * t * 0.1
+        forcing = 0.5 + 0.4 * np.sin(phase)
+        assert np.float64(lin._ramp(t)).tobytes() == ramp.tobytes()
+        assert np.float64(piston.forcing(t)).tobytes() == forcing.tobytes()
+
+
 def test_exact_solution_satisfies_fixed_point():
     lin = LinearFixedPoint.random_contraction(6, seed=5)
     for t in (0, 3):
@@ -266,11 +278,50 @@ def test_make_problem_forwards_parameters():
     ("linear", {"dim": 4, "mass_ratio": 2.0}),
     ("two", {"spectral_radius": 0.3}),
     ("piston", {"relax_on": "force"}),
-    ("piston", {"dim": 8, "stiffness": 2.0})])
+    ("piston", {"dim": 8, "stiffness": 2.0}),
+    ("piston", {"time_step": 0.1}), ("piston", {"forcing_offset": 0.5}),
+    ("piston", {"forcing_amplitude": 0.4}),
+    ("piston", {"dim": 8, "forcing_frequency": 0.93})])
 def test_make_problem_rejects_unknown_parameters(name, params):
     unknown = sorted(set(params) - {"dim"})
     with pytest.raises(ValueError, match=", ".join(unknown)):
         make_problem(name, **params)
+
+
+def test_piston_takes_exactly_its_three_parameters():
+    assert set(problems.PARAMETERS["piston"]) == {"dim", "mass_ratio",
+                                                  "neighbor_coupling"}
+
+
+# a value its default's type would change: a fractional or string int,
+# a non-finite float
+INEXACT = [("linear", "dim", 8.5), ("linear", "dim", "16"),
+           ("two", "dim", 12.9), ("piston", "dim", 8.5),
+           ("piston", "dim", "16")] + [
+    (name, param, value) for name, param in (
+        ("linear", "spectral_radius"), ("two", "contraction"),
+        ("piston", "mass_ratio"))
+    for value in (float("nan"), float("inf"), -float("inf"))]
+
+
+@pytest.mark.parametrize("name,param,value", INEXACT)
+def test_parameters_must_keep_their_exact_value(name, param, value):
+    with pytest.raises(ValueError, match="%s needs .*%s" % (name, param)):
+        problems.check_problem(name, {param: value})
+    with pytest.raises(ValueError, match="%s needs .*%s" % (name, param)):
+        make_problem(name, **{param: value})
+    if name == "piston":
+        with pytest.raises(ValueError, match=param):
+            AddedMassPiston(**{"dim": 8, param: value})
+
+
+def test_exact_values_are_kept_in_their_defaults_type():
+    args = problems.check_problem("linear", {"dim": 8.0, "spectral_radius": 1})
+    assert args == {"dim": 8, "spectral_radius": 1.0}
+    assert type(args["dim"]) is int and type(args["spectral_radius"]) is float
+    piston = AddedMassPiston(np.int64(12), mass_ratio=3)
+    assert type(piston.dim) is int and type(piston.mass_ratio) is float
+    assert make_problem("two", dim=12.0).dimension == 12
 
 
 def test_make_problem_rejects_unknown_relax_on():

@@ -502,7 +502,7 @@ def test_step_factor_matches_dense_reference():
             cases += [(k, now, k_h, offered, epsilon) for epsilon in EPSILONS]
 
         def body(comm, layout):
-            step = StepFactor()
+            step = StepFactor(n_h + residuals.shape[1])  # its appends
             for column in dense_columns(layout, comm, history):
                 append(step, column)
             out = []
@@ -575,7 +575,8 @@ def carried_proposals(comm, layout, capacity, ranking, steps):
     epsilon, kept, |diag U|, lam, reconstruction), and per step start
     (reflectors, distinct live pairs, reflectors after the compaction)."""
     p = layout.global_size
-    factor, store = StepFactor(), HistoryStore(capacity)
+    factor = StepFactor(sum(r.shape[1] for r, *_ in steps))  # its appends
+    store = HistoryStore(capacity)
     out, starts = [], []
     for step, (residuals, converged, twice, emptied) in enumerate(steps):
         if emptied:
@@ -713,7 +714,7 @@ def test_apply_qt_agrees_with_the_step_factor():
 
     def body(comm, layout):
         rs = dense_columns(layout, comm, residuals)
-        step, out = StepFactor(), []
+        step, out = StepFactor(residuals.shape[1]), []  # one per column
         for r in rs[:5]:
             newest = append(step, r)
         stack, _, head = step.factor(
@@ -750,7 +751,8 @@ def test_append_with_the_couplers_sums_matches_its_own_reduction():
 
     def body(comm, layout, residuals):
         p, lengths = layout.global_size, []
-        fused, alone = StepFactor(), StepFactor()
+        bound = residuals.shape[1]  # one append per column
+        fused, alone = StepFactor(bound), StepFactor(bound)
         for k, r in enumerate(dense_columns(layout, comm, residuals)):
             if k == p + 2:
                 # p reflectors for 2 live pairs: both rebuild F
@@ -794,7 +796,7 @@ def test_step_factor_collectives_on_spanning_pivots():
                     for kind in before}, out
 
         rs = dense_columns(layout, comm, residuals)
-        step, made, widths = StepFactor(), [], []
+        step, made, widths = StepFactor(p + 4), [], []  # one per column
 
         def counted_append(r):
             widths.append(step.reflectors)
@@ -859,7 +861,7 @@ def test_step_factor_rejects_history_it_has_not_factored():
     layout, comm = single_rank(6)
     cols = dense_columns(layout, comm,
                          random_tall(6, 3, 10.0, np.random.default_rng(3)))
-    step = StepFactor()
+    step = StepFactor(3)  # one append per column
     first, newest = append(step, cols[0]), append(step, cols[1])
     step.factor([(first, newest), (first, 0)], 0.0)
     with pytest.raises(ValueError):
@@ -876,7 +878,7 @@ def test_factor_on_an_empty_factor_names_the_missing_column():
     # before any append F has no column, the zero one included
     for columns in ([(1, 0)], [(0, 0)], []):
         with pytest.raises(ValueError, match="F has no column"):
-            StepFactor().factor(columns, 0.1)
+            StepFactor(1).factor(columns, 0.1)
 
 
 # -- direct LAPACK kernels ------------------------------------------------
@@ -1095,7 +1097,7 @@ def test_no_shape_makes_lapack_write(capfd):
     layout, comm = single_rank(6)
     cols = dense_columns(layout, comm,
                          random_tall(6, 4, 10.0, np.random.default_rng(5)))
-    step = StepFactor()
+    step = StepFactor(5)  # 4 appends, then 1 after the compaction
     for c in cols:
         append(step, c)
     assert step.compact([]) == {} and step.reflectors == 0
