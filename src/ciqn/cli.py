@@ -7,38 +7,58 @@ Two subcommands:
     ciqn compare  run the same grid for several accelerators and print
                   the side-by-side summary
 
-Grid values are comma-separated.  A JSON config file can prefill any
-option; explicit flags win over the file.  The environment variable
-CIQN_SEED sets the problem seed (default 0).
+Each flag is a :class:`~ciqn.harness.SweepSpec` field but ``seed`` and
+``problem_params``; ``--accel`` is the accelerator (compare takes a
+list), and ``--out`` is sweep only.  A JSON config file can prefill any
+option under the flag's name; explicit flags win over the file.  The
+environment variable CIQN_SEED sets the problem seed (default 0).  This
+module only reads text; :func:`~ciqn.coupler.exact_value` checks each
+value, through SweepSpec or, for CIQN_SEED, directly.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-from .coupler import ACCELERATORS
+from .coupler import ACCELERATORS, exact_value
 from .harness import (SweepSpec, compare_accelerators, render_table,
                       run_sweep)
 from .problems import PROBLEMS
 
+# every option, under its flag's name, with the default that gives its type
+_SWEEP = {"accel" if f.name == "accelerator" else f.name: f.default
+          for f in dataclasses.fields(SweepSpec)
+          if f.name not in ("seed", "problem_params")}
+_OPTIONS = {"sweep": _SWEEP, "compare": dict(_SWEEP, accel=("ciqn", "aitken"))}
+_NAMES = {"problem": PROBLEMS, "accel": ACCELERATORS}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with option defaults")
-    parser.add_argument("--problem", choices=PROBLEMS)
-    parser.add_argument("--histories", type=_grid_flag(_integer, "integers"),
-                        help="comma-separated past-step counts")
-    parser.add_argument("--ranking", type=_grid_flag(_integer, "integers"),
-                        help="comma-separated per-step column caps")
-    parser.add_argument("--epsilon", type=_grid_flag(_number, "numbers"),
-                        help="comma-separated filter thresholds")
-    parser.add_argument("--steps", type=int, help="time steps per cell")
-    parser.add_argument("--ranks", type=int, help="simulated rank count")
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--omega0", type=float)
-    parser.add_argument("--max-iters", type=int, dest="max_iters")
+
+def _reader(default, strict: bool = True):
+    """How a flag's text, or a config string, becomes an option value: a
+    grid's text is split on commas, and each piece, or a scalar's text,
+    is converted to the type of the default.  Unless ``strict``, a piece
+    that does not convert stays text, for SweepSpec to reject by name."""
+    grid = isinstance(default, tuple)
+    kind = str if default is None else type(default[0] if grid else default)
+
+    def one(piece: str):
+        try:
+            return kind(piece)
+        except ValueError:
+            if strict:
+                raise
+            return piece
+
+    def read(text: str):
+        return tuple(one(p) for p in text.split(",") if p) if grid \
+            else one(text)
+    # argparse names a flag's type in its message
+    read.__name__ = "comma-separated " * grid + kind.__name__
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,83 +66,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ciqn",
         description="interface coupling convergence studies")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("sweep", help="sweep one accelerator")
-    _add_common(sweep)
-    sweep.add_argument("--accel", choices=ACCELERATORS)
-    sweep.add_argument("--out", help="CSV output path")
-
-    compare = sub.add_parser("compare", help="compare accelerators")
-    _add_common(compare)
-    compare.add_argument("--accel", type=lambda t: tuple(t.split(",")),
-                         help="comma-separated accelerator names")
+    for command, about in (("sweep", "sweep one accelerator"),
+                           ("compare", "compare accelerators")):
+        one = sub.add_parser(command, help=about)
+        one.add_argument("--config", help="JSON file with option defaults")
+        for key, default in _OPTIONS[command].items():
+            if command == "compare" and key == "out":
+                continue  # a comparison writes no CSV
+            grid, names = isinstance(default, tuple), _NAMES.get(key)
+            shown = ",".join(map(str, default)) if grid else default
+            # a grid's metavar shows its commas, and its names if it has any
+            metavar = ("{%s}" % ",".join(names) if names else key.upper())
+            one.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=_reader(default),
+                choices=None if grid else names,
+                metavar=metavar + ",..." if grid else None,
+                help="default %s" % shown)
     return parser
 
 
-def _integer(value) -> int:
-    """An int, or a string or float that holds one exactly."""
-    try:
-        if isinstance(value, (int, str)) and not isinstance(value, bool) \
-                or isinstance(value, float) and value.is_integer():
-            return int(value)
-    except ValueError:
-        pass
-    raise ValueError("expected an integer, got %r" % (value,))
-
-
-def _number(value) -> float:
-    try:
-        if isinstance(value, (int, float, str)) \
-                and not isinstance(value, bool):
-            return float(value)
-    except ValueError:
-        pass
-    raise ValueError("expected a number, got %r" % (value,))
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError("expected a string, got %r" % (value,))
-    return value
-
-
-def _grid_values(value, parse_one) -> tuple:
-    """Accept a JSON list, a bare scalar, or the flag-style comma string."""
-    if isinstance(value, str):
-        return tuple(parse_one(tok) for tok in value.split(",") if tok)
-    if isinstance(value, (list, tuple)):
-        return tuple(parse_one(v) for v in value)
-    return (parse_one(value),)
-
-
-def _grid_flag(parse_one, what: str):
-    """argparse type of a comma-separated grid flag."""
-    def parse(text: str) -> tuple:
-        try:
-            return _grid_values(text, parse_one)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                "expected comma-separated %s, got %r" % (what, text))
-    return parse
-
-
-# how each config file key is read
-_CONFIG_PARSERS = {
-    "histories": lambda v: _grid_values(v, _integer),
-    "ranking": lambda v: _grid_values(v, _integer),
-    "epsilon": lambda v: _grid_values(v, _number),
-    "problem": _text, "out": _text,
-    "steps": _integer, "ranks": _integer, "max_iters": _integer,
-    "tol": _number, "omega0": _number,
-    # one accelerator name, or a list of them
-    "accel": lambda v: (tuple(map(_text, v)) if isinstance(v, list)
-                        else _text(v)),
-}
-_SPEC_KEYS = tuple(key for key in _CONFIG_PARSERS if key != "accel")
-
-
-def _load_config(path: str) -> dict:
-    """Read a JSON config; any fault exits with ``ciqn: <message>``."""
+def _load_config(path: str, options: dict) -> dict:
+    """Read a JSON config; any fault exits with ``ciqn: <message>``.  A
+    string is read as its flag's text, one value for a grid is a
+    one-cell grid, and any other value goes to SweepSpec unchanged."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -131,44 +97,38 @@ def _load_config(path: str) -> dict:
     if not isinstance(data, dict):
         raise SystemExit("ciqn: config must be a JSON object, not %s"
                          % type(data).__name__)
-    unknown = set(data) - set(_CONFIG_PARSERS)
+    unknown = set(data) - set(options)
     if unknown:
         raise SystemExit("ciqn: unknown config keys: %s"
                          % ", ".join(sorted(unknown)))
-    for key in data:
-        try:
-            data[key] = _CONFIG_PARSERS[key](data[key])
-        except ValueError as err:
-            raise SystemExit("ciqn: config key %r: %s" % (key, err))
+    for key, value in data.items():
+        if isinstance(value, str):
+            data[key] = _reader(options[key], strict=False)(value)
+        elif isinstance(options[key], tuple) and not isinstance(value, list):
+            data[key] = [value]
     return data
 
 
-def _make_spec(args: argparse.Namespace, default_accel) -> tuple[SweepSpec, object]:
-    options = _load_config(args.config) if args.config else {}
-    accel = options.pop("accel", default_accel)
-    for key in _SPEC_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    if getattr(args, "accel", None) is not None:
-        accel = args.accel
-    try:
-        options["seed"] = _integer(os.environ.get("CIQN_SEED", "0"))
-    except ValueError as err:
-        raise SystemExit("ciqn: CIQN_SEED: %s" % err)
+def _make_spec(args: argparse.Namespace) -> tuple[SweepSpec, object]:
+    options = _OPTIONS[args.command]
+    values = _load_config(args.config, options) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in options and value is not None)
+    accel = values.pop("accel", options["accel"])
     if args.command == "sweep":
-        options["accelerator"] = accel
+        values["accelerator"] = accel
     try:
-        return SweepSpec(**options), accel
+        values["seed"] = exact_value("CIQN_SEED", _reader(0, strict=False)(
+            os.environ.get("CIQN_SEED", "0")), 0)
+        return SweepSpec(**values), accel
     except ValueError as err:
-        # an invalid value stops the run before any cell starts
         raise SystemExit("ciqn: %s" % err)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    spec, accel = _make_spec(args)
     if args.command == "sweep":
-        spec, _ = _make_spec(args, "ciqn")
         try:
             cells = run_sweep(spec)
         except OSError as err:
@@ -179,9 +139,6 @@ def main(argv=None) -> int:
         if spec.out:
             sys.stdout.write("wrote %s\n" % spec.out)
         return 0
-    spec, accel = _make_spec(args, ("ciqn", "aitken"))
-    if isinstance(accel, str):
-        accel = tuple(accel.split(","))
     try:
         report = compare_accelerators(spec, accel)
     except ValueError as err:

@@ -41,8 +41,9 @@ its factor), and ``propose`` gets those sums in order.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -61,6 +62,24 @@ ACCELERATORS = ("ciqn", "aitken", "picard")
 
 class RankDisagreementError(RuntimeError):
     """Ranks of one run ended with different records or solutions."""
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def exact_value(name: str, value, default):
+    """``value`` in the type of ``default``, which must hold it exactly:
+    an integer for an int (8 or 8.0, but not 8.5, True or "8"), a finite
+    number for a float, a string for a str.  Anything else raises a
+    ValueError that names the option and the value."""
+    kind = type(default)
+    try:
+        if not isinstance(value, (bool, np.bool_)) and kind(value) == value \
+                and (kind is not float or math.isfinite(value)):
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("%r: expected %s, got %r" % (name, _KINDS[kind], value))
 
 
 @dataclass(frozen=True)
@@ -83,19 +102,19 @@ class CouplerConfig:
     max_iters: int = 50
 
     def __post_init__(self):
-        # negated comparisons, so that NaN (which compares false) fails
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be >= 0")
-        if not self.histories >= 0:
-            raise ValueError("histories must be >= 0")
-        if not self.ranking >= 1:
-            raise ValueError("ranking must be >= 1")
-        if not 0 < self.omega0 <= 1:
-            raise ValueError("omega0 must be in (0, 1]")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be >= 1")
+        for f in fields(self):
+            object.__setattr__(self, f.name, exact_value(
+                f.name, getattr(self, f.name), f.default))
+        for name, ok, bound in (
+                ("epsilon", self.epsilon >= 0, ">= 0"),
+                ("histories", self.histories >= 0, ">= 0"),
+                ("ranking", self.ranking >= 1, ">= 1"),
+                ("omega0", 0 < self.omega0 <= 1, "in (0, 1]"),
+                ("tol", self.tol > 0, "> 0"),
+                ("max_iters", self.max_iters >= 1, ">= 1")):
+            if not ok:
+                raise ValueError("%s must be %s, got %r"
+                                 % (name, bound, getattr(self, name)))
 
 
 @dataclass

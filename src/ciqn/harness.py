@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
 
-from .coupler import ACCELERATORS, CouplerConfig, solve_coupled
+from .coupler import ACCELERATORS, CouplerConfig, exact_value, solve_coupled
 from .problems import check_problem, make_problem
 
 CSV_HEADER = "histories,ranking,epsilon,mean,sd,diverged,restarts"
@@ -45,15 +45,23 @@ class SweepSpec:
     out: str | None = None
 
     def __post_init__(self):
-        """Reject, before any cell runs, what some cell would reject."""
+        """Reject, before any cell runs or the CSV opens, what some cell
+        would reject; ``out`` is a path, never an open descriptor."""
+        for name in ("steps", "ranks", "seed"):
+            object.__setattr__(self, name,
+                               exact_value(name, getattr(self, name), 0))
+        if self.out is not None:
+            exact_value("out", self.out, "")
         if not min(self.steps, self.ranks) >= 1:
-            raise ValueError("steps and ranks must be >= 1")
+            raise ValueError("steps and ranks must be >= 1, got %d and %d"
+                             % (self.steps, self.ranks))
         for name in ("histories", "ranking", "epsilon"):
             if not getattr(self, name):
-                raise ValueError("%s must be a non-empty list" % name)
+                raise ValueError("%s must be a non-empty list, got %r"
+                                 % (name, getattr(self, name)))
         if self.accelerator not in ACCELERATORS:
-            raise ValueError("accelerator must be one of %s"
-                             % ", ".join(ACCELERATORS))
+            raise ValueError("accelerator must be one of %s, got %r"
+                             % (", ".join(ACCELERATORS), self.accelerator))
         check_problem(self.problem, dict(self.problem_params))
         for cell in itertools.product(self.histories, self.ranking,
                                       self.epsilon):
@@ -194,17 +202,19 @@ class ComparisonReport:
 
 
 def compare_accelerators(spec: SweepSpec, accelerators) -> ComparisonReport:
-    """Run the same sweep grid once per accelerator.  An empty list, an
-    unknown or repeated name or an ``out`` path (a comparison writes no
-    CSV) raises ValueError before the first sweep starts."""
-    if not accelerators:
-        raise ValueError("no accelerator to compare")
-    if len(set(accelerators)) < len(accelerators):
-        raise ValueError("accelerator named twice: %s"
-                         % ",".join(accelerators))
+    """Run the same sweep grid once per accelerator.  Anything but a
+    non-empty list of names, an unknown or repeated name or an ``out``
+    path (a comparison writes no CSV) raises ValueError before the first
+    sweep starts."""
+    if not isinstance(accelerators, (list, tuple)) or not accelerators:
+        raise ValueError("compare needs a non-empty list of accelerator "
+                         "names, got %r" % (accelerators,))
     if spec.out:
         raise ValueError("compare writes no CSV; out is a sweep option")
     specs = [replace(spec, accelerator=name) for name in accelerators]
+    if len(set(accelerators)) < len(accelerators):
+        raise ValueError("accelerator named twice: %s"
+                         % ",".join(accelerators))
     report = ComparisonReport(tuple(accelerators))
     for name, one in zip(accelerators, specs):
         started = time.perf_counter()

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 
 from . import field
+from .coupler import exact_value
 from .field import InterfaceVector
 
 
@@ -210,32 +210,26 @@ PROBLEMS = tuple(PARAMETERS)
 
 def check_problem(name: str, params) -> dict:
     """ValueError unless ``make_problem`` takes these; builds nothing.
-    Returns every parameter in its default's type, which must hold the
-    value exactly: an integer for an int, a finite number for a float."""
+    Returns every parameter as :func:`~ciqn.coupler.exact_value` takes
+    it: in its default's type, which must hold the value exactly."""
     if name not in PROBLEMS:
         raise ValueError("unknown problem %r" % name)
     unknown = set(params) - set(PARAMETERS[name])
     if unknown:
         raise ValueError("unknown %s parameters: %s"
                          % (name, ", ".join(sorted(unknown))))
-    args = {}
-    for key, default in PARAMETERS[name].items():
-        value, kind = params.get(key, default), type(default)
-        try:
-            exact = kind(value) == value and math.isfinite(value)
-        except (TypeError, ValueError, OverflowError):
-            exact = False
-        if not exact:
-            raise ValueError("%s needs %s %s, got %r" % (
-                name, "an integer" if kind is int else "a finite", key, value))
-        args[key] = kind(value)
+    args = {key: exact_value(key, params.get(key, default), default)
+            for key, default in PARAMETERS[name].items()}
     least = 2 if name == "two" else 1  # "two" needs a row per surface
     if args["dim"] < least:
-        raise ValueError("%s needs dim >= %d" % (name, least))
+        raise ValueError("%s needs dim >= %d, got %d"
+                         % (name, least, args["dim"]))
     if name == "piston" and not args["mass_ratio"] > 0:
-        raise ValueError("piston needs mass_ratio > 0")
+        raise ValueError("piston needs mass_ratio > 0, got %r"
+                         % args["mass_ratio"])
     if name == "piston" and not 0 <= args["neighbor_coupling"] <= 0.5:
-        raise ValueError("piston needs neighbor_coupling in [0, 0.5]")
+        raise ValueError("piston needs neighbor_coupling in [0, 0.5], got %r"
+                         % args["neighbor_coupling"])
     return args
 
 

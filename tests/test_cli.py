@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,17 @@ import ciqn
 from ciqn import cli, harness
 
 
+# the SweepSpec fields that are flags and config keys, under their flags'
+# names: the seed comes from CIQN_SEED, problem_params is set from Python
+SPEC_OPTIONS = {"accel" if f.name == "accelerator" else f.name
+                for f in dataclasses.fields(harness.SweepSpec)
+                if f.name not in ("seed", "problem_params")}
+
+
+def command_flags(command):
+    return SPEC_OPTIONS - ({"out"} if command == "compare" else set())
+
+
 def run_main(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -21,26 +33,30 @@ def run_main(capsys, argv):
 
 
 def test_list_parsers():
-    assert cli._grid_values("0,1,2", int) == (0, 1, 2)
-    assert cli._grid_values("5", int) == (5,)
-    assert cli._grid_values("0.0,1e-9", float) == (0.0, 1e-9)
-    assert cli._grid_values([2, 3.0], cli._integer) == (2, 3)
-    for bad in (1.5, "1.5", True, None, float("inf")):
-        with pytest.raises(ValueError, match="expected an integer"):
-            cli._integer(bad)
-    for bad in ("x", False, None, [1.0]):
-        with pytest.raises(ValueError, match="expected a number"):
-            cli._number(bad)
+    # a grid's text splits on commas, each piece in its default's type;
+    # a config string keeps a piece that does not convert for SweepSpec
+    # to name, where a flag's type rejects it
+    assert cli._reader((0,))("0,1,2") == (0, 1, 2)
+    assert cli._reader((0,))("5") == (5,)
+    assert cli._reader((0.0,))("0.0,1e-9") == (0.0, 1e-9)
+    assert cli._reader(("ciqn",))("ciqn,,aitken") == ("ciqn", "aitken")
+    assert cli._reader((0,), strict=False)("1,x,1.5") == (1, "x", "1.5")
+    assert cli._reader(0, strict=False)("2.5") == "2.5"
+    assert cli._reader(None)("a.csv") == "a.csv"
+    for default, text in (((0,), "1,x"), (0, "2.5"), (0.0, "y")):
+        with pytest.raises(ValueError):
+            cli._reader(default)(text)
 
 
 @pytest.mark.parametrize("flag,value,expected", [
-    ("--histories", "x", "integers"), ("--ranking", "5,1.5", "integers"),
-    ("--epsilon", "0,y", "numbers")])
+    ("--histories", "x", "int"), ("--ranking", "5,1.5", "int"),
+    ("--epsilon", "0,y", "float")])
 def test_grid_flags_name_what_they_expect(capsys, flag, value, expected):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["sweep", flag, value])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "argument %s: expected comma-separated %s, got %r" \
+    assert "argument %s: invalid comma-separated %s value: %r" \
         % (flag, expected, value) in err
 
 
@@ -64,7 +80,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"steps": 3, "colour": "red"}))
     with pytest.raises(SystemExit, match="colour"):
-        cli._load_config(str(path))
+        cli.main(["sweep", "--config", str(path)])
 
 
 @pytest.mark.parametrize("content,message", [
@@ -78,8 +94,8 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ('{"steps": 2.5}', "'steps': expected an integer, got 2.5"),
     ('{"tol": null}', "'tol': expected a number, got None"),
     ('{"out": 3}', "'out': expected a string, got 3"),
-    ('{"accel": 3}', "'accel': expected a string, got 3"),
-    ('{"accel": ["ciqn", 3]}', "'accel': expected a string, got 3"),
+    ('{"accel": 3}', "accelerator must be one of ciqn, aitken, picard, got 3"),
+    ('{"accel": ["ciqn", 3]}', "accelerator must be one of .*, got .*3"),
     ('{"relax_on": "force"}', "unknown config keys: relax_on$"),
 ])
 def test_config_file_errors_exit_before_any_cell(tmp_path, monkeypatch,
@@ -113,9 +129,9 @@ def test_config_file_accepts_flag_style_strings(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({
         "problem": "linear", "steps": 2, "histories": "0,2",
         "ranking": 5, "epsilon": "1e-9"}))
-    loaded = cli._load_config(str(path))
+    loaded = cli._load_config(str(path), cli._OPTIONS["sweep"])
     assert loaded["histories"] == (0, 2)
-    assert loaded["ranking"] == (5,)
+    assert loaded["ranking"] == [5]
     assert loaded["epsilon"] == (1e-9,)
     monkeypatch.delenv("CIQN_SEED", raising=False)
     code, out = run_main(capsys, ["sweep", "--config", str(path)])
@@ -155,7 +171,7 @@ def test_non_integer_seed_exits_before_any_cell(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--steps", "1"])
     assert str(exc.value) \
-        == "ciqn: CIQN_SEED: expected an integer, got 'abc'"
+        == "ciqn: 'CIQN_SEED': expected an integer, got 'abc'"
 
 
 def test_unwritable_out_path_exits_with_a_message(tmp_path, monkeypatch):
@@ -192,7 +208,7 @@ def test_sweep_rejects_bad_values_before_any_cell(tmp_path, monkeypatch,
                                                   flags):
     monkeypatch.delenv("CIQN_SEED", raising=False)
     out = tmp_path / "grid.csv"
-    with pytest.raises(SystemExit, match="must be"):
+    with pytest.raises(SystemExit, match="^ciqn: .*(must be|: expected)"):
         cli.main(["sweep", "--problem", "linear", *flags, "--out", str(out)])
     assert not out.exists()
 
@@ -252,17 +268,31 @@ def test_relax_on_is_no_flag(capsys, command):
 
 
 def test_flags_config_keys_and_spec_fields_name_the_same_options():
-    # an option must reach every layer or none; the seed comes from
-    # CIQN_SEED, and problem_params is set from Python only
+    # an option must reach every layer or none; compare takes no --out
+    # (compare_accelerators refuses a config's out)
     parser = cli.build_parser()
     subparsers = next(action for action in parser._actions
                       if isinstance(action, argparse._SubParsersAction))
-    flags = {action.dest for action in subparsers.choices["sweep"]._actions
-             if action.dest not in ("help", "config")}
-    fields = {"accel" if f.name == "accelerator" else f.name
-              for f in dataclasses.fields(harness.SweepSpec)
-              if f.name not in ("seed", "problem_params")}
-    assert flags == set(cli._CONFIG_PARSERS) == fields
+    for command in ("sweep", "compare"):
+        flags = {action.dest
+                 for action in subparsers.choices[command]._actions
+                 if action.dest not in ("help", "config")}
+        assert set(cli._OPTIONS[command]) == SPEC_OPTIONS
+        assert flags == command_flags(command)
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_help_lists_every_option_and_name(command):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ciqn.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ciqn", command, "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    listed = set(re.findall(r"^  --([\w-]+)", done.stdout, re.M))
+    assert listed == {flag.replace("_", "-")
+                      for flag in command_flags(command) | {"config"}}
+    for name in ciqn.problems.PROBLEMS + ciqn.ACCELERATORS:
+        assert name in done.stdout
 
 
 @pytest.mark.parametrize("accel", ["ciqn,bogus", ""])
@@ -272,7 +302,8 @@ def test_compare_rejects_bad_accelerators_before_any_cell(accel,
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(harness, "solve_coupled", no_cells)
-    with pytest.raises(SystemExit, match="^ciqn: accelerator must be"):
+    with pytest.raises(SystemExit,
+                       match="^ciqn: (accelerator must be|compare needs)"):
         cli.main(["compare", "--accel", accel])
 
 

@@ -43,10 +43,38 @@ class Constant:
     {"max_iters": 0},
     {"epsilon": float("nan")},
     {"tol": float("nan")},
+    {"ranking": True},
+    {"tol": float("inf")},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         CouplerConfig(**bad)
+
+
+@pytest.mark.parametrize("default,value", [
+    (0, 1.5), (0, "1.5"), (0, "8"), (0, True), (0, np.True_), (0, None),
+    (0, float("inf")),
+    (0.0, "x"), (0.0, "0.1"), (0.0, False), (0.0, None), (0.0, [1.0]),
+    (0.0, float("nan")), (0.0, -float("inf")), ("", 3), ("", None)])
+def test_exact_value_rejects_what_its_defaults_type_would_change(default,
+                                                                 value):
+    with pytest.raises(ValueError) as exc:
+        cp.exact_value("x", value, default)
+    assert str(exc.value) == "'x': expected %s, got %r" % (
+        {int: "an integer", float: "a number", str: "a string"}[
+            type(default)], value)
+
+
+def test_exact_value_keeps_exact_values_in_the_defaults_type():
+    for default, value, kept in ((0, 8.0, 8), (0, np.int64(12), 12),
+                                 (0, 10**400, 10**400), (0.0, 1, 1.0),
+                                 ("", "a.csv", "a.csv")):
+        got = cp.exact_value("x", value, default)
+        assert got == kept and type(got) is type(default)
+    config = CouplerConfig(histories=2.0, max_iters=np.int64(7), tol=1)
+    assert (config.histories, config.max_iters, config.tol) == (2, 7, 1.0)
+    assert [type(v) for v in (config.histories, config.max_iters,
+                              config.tol)] == [int, int, float]
 
 
 def test_make_accelerator_names():

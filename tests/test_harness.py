@@ -1,5 +1,7 @@
 """Sweep harness: statistics, CSV determinism, tables, comparisons."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,8 @@ def test_sweep_spec_rejects_too_small_dims_before_any_cell(
     ("linear", "dim", 4.7), ("two", "dim", 12.9), ("piston", "dim", "16"),
     ("linear", "spectral_radius", float("nan")),
     ("two", "contraction", float("inf")),
-    ("piston", "mass_ratio", float("inf"))])
+    ("piston", "mass_ratio", float("inf")), ("linear", "dim", True),
+    ("piston", "mass_ratio", True)])
 def test_sweep_spec_rejects_inexact_parameters_before_any_cell(
         problem, param, value, monkeypatch, tmp_path):
     def no_build(*args, **kwargs):
@@ -86,10 +89,44 @@ def test_sweep_spec_rejects_inexact_parameters_before_any_cell(
 
     monkeypatch.setattr(harness, "make_problem", no_build)
     out = tmp_path / "grid.csv"
-    with pytest.raises(ValueError, match="%s needs .*%s" % (problem, param)):
+    with pytest.raises(ValueError, match="^%r: expected" % param):
         run_sweep(SweepSpec(problem=problem, problem_params=((param, value),),
                             steps=1, out=str(out)))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("steps", 2.5), ("histories", (1.5,)), ("ranking", (True,)),
+    ("max_iters", True), ("tol", True), ("epsilon", ("0.1",)),
+    ("seed", True), ("out", 3)])
+def test_sweep_spec_rejects_inexact_options_before_any_cell(
+        name, value, monkeypatch, tmp_path):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "solve_coupled", no_cells)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="^%r: expected" % name):
+        run_sweep(SweepSpec(**{"steps": 1, "out": "grid.csv", name: value}))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_spec_keeps_exact_options_in_their_type():
+    spec = SweepSpec(ranks=1.0, steps=np.int64(3), seed=2.0)
+    assert (spec.ranks, spec.steps, spec.seed) == (1, 3, 2)
+    assert {type(spec.ranks), type(spec.steps), type(spec.seed)} == {int}
+    assert run_sweep(replace(TINY_LINEAR, ranks=1.0)) == run_sweep(TINY_LINEAR)
+
+
+def test_sweep_spec_leaves_an_open_descriptor_alone(tmp_path):
+    # open() takes an int as a file descriptor: an int ``out`` would send
+    # the CSV to the caller's file, and the sweep would then close it
+    with open(tmp_path / "mine.txt", "w") as mine:
+        with pytest.raises(ValueError, match="^'out': expected a string"):
+            run_sweep(SweepSpec(**{**TINY_LINEAR.__dict__,
+                                   "out": mine.fileno()}))
+        mine.write("still open\n")
+    assert (tmp_path / "mine.txt").read_text() == "still open\n"
 
 
 @pytest.mark.parametrize("param,value", [("mass_ratio", 0.0),
@@ -163,6 +200,20 @@ def test_divergent_cell_marks_f():
     assert render_table(cells).splitlines()[-1].rstrip().endswith("F")
 
 
+def test_history_reuse_with_filtering_is_not_always_more_robust():
+    # the paper's "does not necessarily": on the default piston cells at
+    # ranking 5 one reused step helps while the filter keeps the
+    # columns (11.00 -> 4.14 mean iterations at epsilon 1e-7) and hurts
+    # once it drops them (16.00 -> 18.76 at epsilon 0.1)
+    spec = SweepSpec(problem="piston")
+
+    def mean(histories, epsilon):
+        return run_cell(spec, histories, 5, epsilon).mean
+
+    assert mean(1, 1e-7) < mean(0, 1e-7) - 3
+    assert mean(1, 0.1) > mean(0, 0.1) + 1
+
+
 def test_compare_accelerators_on_added_mass():
     spec = SweepSpec(problem="piston", steps=20, histories=(2,),
                      ranking=(5,), epsilon=(1e-9,))
@@ -191,7 +242,8 @@ def test_compare_rejects_an_out_path_before_any_cell(monkeypatch,
 
 
 @pytest.mark.parametrize("names", [(), ("ciqn", "bogus"), ("",),
-                                   ("aitken", "ciqn", "aitken")])
+                                   ("aitken", "ciqn", "aitken"), 3, "ciqn",
+                                   ("ciqn", 3), ["ciqn", ["aitken"]]])
 def test_compare_rejects_accelerators_before_any_cell(names, monkeypatch):
     def no_cells(*args, **kwargs):
         raise AssertionError("a cell ran")
