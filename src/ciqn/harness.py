@@ -56,9 +56,10 @@ class SweepSpec:
             raise ValueError("steps and ranks must be >= 1, got %d and %d"
                              % (self.steps, self.ranks))
         for name in ("histories", "ranking", "epsilon"):
-            if not getattr(self, name):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)) or not grid:
                 raise ValueError("%s must be a non-empty list, got %r"
-                                 % (name, getattr(self, name)))
+                                 % (name, grid))
         if self.accelerator not in ACCELERATORS:
             raise ValueError("accelerator must be one of %s, got %r"
                              % (", ".join(ACCELERATORS), self.accelerator))

@@ -27,13 +27,14 @@ r . r (Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976); every
 secant column, the history's too, is a difference of two of F's
 columns, picked from R_F locally.  A step start rebuilds F from its
 live columns, also locally, once they number less than half its
-reflectors, the rows of one block allocated once per solve.
-``decompose`` and ``apply_qt`` are front-ends over it, kept for the
-tests and the benchmark's tracer.  The replicated kernels call LAPACK's
-``dgeqrf``, ``dorgqr`` and ``dtrtrs`` directly, loading scipy.linalg
-(slower to import than ciqn) at the first call, never on an empty
-shape, as ``np.linalg.qr`` and ``scipy.linalg.solve_triangular`` call
-them (for a C-ordered or 1-by-1 triangle: through its transpose).
+reflectors.  Y's rows are one block, allocated once per solve, so each
+product with Y is one matrix-vector product.  ``decompose`` and
+``apply_qt`` are front-ends over the factor, kept for the tests and the
+benchmark's tracer.  The replicated kernels call LAPACK's ``dgeqrf``,
+``dorgqr`` and ``dtrtrs`` directly, loading scipy.linalg (slower to
+import than ciqn) at the first call, never on an empty shape, as
+``np.linalg.qr`` and ``scipy.linalg.solve_triangular`` call them (for a
+C-ordered or 1-by-1 triangle: through its transpose).
 """
 
 from __future__ import annotations
@@ -127,22 +128,23 @@ def _head_share(layout: PartitionLayout, rank: int, local: np.ndarray,
 
 
 def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
-                           col: np.ndarray, pivot: int, extra):
-    """Turn ``col`` into the reflector zeroing it below global row ``pivot``.
+                           col: np.ndarray, y: np.ndarray):
+    """Turn ``col`` into the reflector zeroing it below global row pivot =
+    len(y), ``y`` the local rows of the reflectors before it.
 
     Rows before the pivot are treated as zero: they hold already-computed
     triangle entries and must not move again.  Costs one reduction, which
-    also sums ``extra``.  Returns (alpha, nrm, head, extra summed): col
-    becomes u = (col from the pivot down - alpha e_pivot) / nrm, with
-    nrm = 0 and u = 0 for the identity, and ``head`` holds rows 0..pivot
-    of col, replicated.
+    also sums y's product with col from the pivot down, then y's pivot
+    row.  Returns (alpha, nrm, head, those sums): col becomes u = (col
+    from the pivot down - alpha e_pivot) / nrm, with nrm = 0 and u = 0
+    for the identity, and ``head`` holds rows 0..pivot of col, replicated.
     """
-    start = layout.starts[comm.rank]
+    start, pivot = layout.starts[comm.rank], len(y)
     before = _rows_before(layout, comm.rank, pivot)
-    tail = col[before:]
-    reduced = comm.allreduce_sum_array(np.concatenate(
-        ([tail @ tail], _head_share(layout, comm.rank, col, pivot + 1),
-         extra)))
+    owns, tail = start <= pivot < start + len(col), col[before:]
+    reduced = comm.allreduce_sum_array(np.concatenate((
+        [tail @ tail], _head_share(layout, comm.rank, col, pivot + 1),
+        y[:, before:] @ tail, y[:, before] if owns else np.full(pivot, -0.0))))
     sigma, head = sqrt(reduced[0]), reduced[1:pivot + 2]
     pivot_value, extra = float(head[-1]), reduced[pivot + 2:]
     if sigma == 0.0 or pivot_value == sigma:
@@ -156,7 +158,7 @@ def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
     nrm = sqrt(2.0 * sigma * (sigma + abs(pivot_value)))
     col /= nrm
     col[:before] = 0.0
-    if start <= pivot < start + len(col):
+    if owns:
         col[pivot - start] = (pivot_value - alpha) / nrm
     return alpha, nrm, head, extra
 
@@ -223,9 +225,9 @@ def decompose(columns: list[InterfaceVector], epsilon: float):
     return stack, outcome
 
 
-def _projection_shares(ys, r: InterfaceVector, rows: int) -> list:
-    """This rank's addends to Y^T r, Y = ``ys``, then to r's first rows."""
-    shares = [y.local @ r.local for y in ys]
+def _projection_shares(y: np.ndarray, r: InterfaceVector, rows: int) -> list:
+    """This rank's addends to Y^T r, Y's rows ``y``, then to r's first rows."""
+    shares = (y @ r.local).tolist()
     return shares + _head_share(r.layout, r.comm.rank, r.local,
                                 rows).tolist() if rows else shares
 
@@ -240,8 +242,8 @@ def _qt_head(t, y_head, summed: np.ndarray) -> np.ndarray:
 def apply_qt(stack: HouseholderStack, r: InterfaceVector) -> np.ndarray:
     """First q rows of Q^T r, turned by ``rotation``, replicated on every
     rank.  One reduction."""
-    ys = stack.reflectors
-    summed = r.comm.allreduce_sum_array(_projection_shares(ys, r, len(ys)))
+    y = np.array([v.local for v in stack.reflectors], ndmin=2)
+    summed = r.comm.allreduce_sum_array(_projection_shares(y, r, len(y)))
     return stack.rotation @ _qt_head(stack.t, stack.y_head, summed)
 
 
@@ -270,15 +272,18 @@ class StepFactor:
 
     def shares(self, r: InterfaceVector) -> list:
         """This rank's addends to the sums ``append`` takes with r: Y^T r,
-        then r's head rows once F has a reflector per interface row."""
-        full = len(self._y) == r.layout.global_size
-        return _projection_shares(self._y, r, len(self._y) if full else 0)
+        one matrix-vector product over the block, then r's head rows once
+        F has a reflector per interface row."""
+        n = len(self._y)
+        rows = n if n == r.layout.global_size else 0
+        return _projection_shares(self._block[:n], r, rows) if n else []
 
     def append(self, r: InterfaceVector, summed) -> int:
         """Make r F's newest column; returns its index.  ``summed`` sums
         every rank's ``shares(r)`` (the coupler reduces them with r . r).
-        One reduction builds the reflector and carries Y's products for
-        T's new column; none once F has a reflector per interface row."""
+        One matrix-vector product projects r, another takes Y's products
+        for T's new column, which ride on the one reduction that builds
+        the reflector; none once F has a reflector per interface row."""
         self.layout, self.comm = layout, comm = r.layout, r.comm
         n, summed = len(self._y), np.asarray(summed)
         if n == layout.global_size:
@@ -288,16 +293,10 @@ class StepFactor:
         if self._block is None:
             shape = (min(layout.global_size, self.bound), len(r.local))
             self._block, self.work = np.empty(shape), np.empty(shape[1:])
-        col = self._block[n]
-        col[:] = r.local
-        for coef, y in zip(self._t.T @ summed, self._y):
-            col -= np.multiply(coef, y.local, out=self.work)
-        before = _rows_before(layout, comm.rank, n)
-        owns = before < len(col) and layout.starts[comm.rank] + before == n
-        alpha, nrm, head, extra = _reflector_from_column(
-            layout, comm, col, n, np.array(
-                [y.local[before:] @ col[before:] for y in self._y]
-                + [y.local[before] if owns else -0.0 for y in self._y]))
+        y, col = self._block[:n], self._block[n]
+        np.subtract(r.local, np.dot(self._t.T @ summed, y, out=self.work),
+                    out=col)
+        alpha, nrm, head, extra = _reflector_from_column(layout, comm, col, y)
         # Y u, from Y times col from the pivot down and Y's pivot row
         y_row = extra[n:]
         y_u = (extra[:n] - alpha * y_row) / nrm if nrm else np.zeros(n)

@@ -1,5 +1,8 @@
 """Shared test helpers for the simulated-rank modules."""
 
+import os
+from importlib.metadata import version
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,14 @@ from ciqn import coupler
 from ciqn.field import InterfaceVector, PartitionLayout, distribute
 from ciqn.qr import apply_qt, back_substitute, decompose
 from ciqn.runtime import RankComm, run_spmd
+
+
+def pytest_report_header(config):
+    # records are bitwise only at a fixed BLAS thread count, and the
+    # tests that pin literal records run at whatever count is set
+    return "numpy %s, scipy %s, OPENBLAS_NUM_THREADS=%s" % (
+        np.__version__, version("scipy"),
+        os.environ.get("OPENBLAS_NUM_THREADS", "default"))
 
 
 def single_rank(p: int):

@@ -1,5 +1,6 @@
 """Sweep harness: statistics, CSV determinism, tables, comparisons."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,17 @@ def test_sweep_spec_rejects_bad_values_before_any_cell(bad, monkeypatch,
         run_sweep(SweepSpec(**{"steps": 1, "out": str(out), **bad}))
     # not even the CSV header is written
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("histories", 3), ("epsilon", 0.1), ("ranking", "5"),
+    ("histories", range(2)), ("epsilon", {0.1})])
+def test_sweep_spec_rejects_a_grid_that_is_no_list(name, value):
+    # from Python a bare value for a grid is a ValueError that names the
+    # option, not the TypeError of iterating it
+    with pytest.raises(ValueError, match="^%s must be a non-empty list, "
+                       "got %s$" % (name, re.escape(repr(value)))):
+        SweepSpec(**{name: value})
 
 
 @pytest.mark.parametrize("problem,dim", [("piston", 0), ("linear", 0),
@@ -204,7 +216,7 @@ def test_history_reuse_with_filtering_is_not_always_more_robust():
     # the paper's "does not necessarily": on the default piston cells at
     # ranking 5 one reused step helps while the filter keeps the
     # columns (11.00 -> 4.14 mean iterations at epsilon 1e-7) and hurts
-    # once it drops them (16.00 -> 18.76 at epsilon 0.1)
+    # once it drops them (16.00 -> 18.68 at epsilon 0.1)
     spec = SweepSpec(problem="piston")
 
     def mean(histories, epsilon):

@@ -776,6 +776,75 @@ def test_append_with_the_couplers_sums_matches_its_own_reduction():
             * len(counts)
 
 
+def test_append_on_an_empty_factor_takes_r_bit_for_bit(monkeypatch):
+    # with no reflector the projection r - Y T^T Y^T r is a product over
+    # an empty block: it leaves r unchanged, the sign of its zeros too
+    taken, real = [], qr._reflector_from_column
+
+    def spy(layout, comm, col, y):
+        taken.append(col.copy())
+        return real(layout, comm, col, y)
+
+    monkeypatch.setattr(qr, "_reflector_from_column", spy)
+    layout, comm = single_rank(4)
+    r = vector(layout, comm, [-0.0, 3.0, -4.0, 0.0])
+    assert append(StepFactor(4), r) == 1
+    assert taken[0].tobytes() == r.local.tobytes()
+    assert np.signbit(taken[0][0]) and not np.signbit(taken[0][3])
+
+
+def test_shares_on_a_rank_with_no_rows_are_positive_zeros():
+    # ``field.dots`` promises that no rank contributes -0.0: a rank that
+    # owns no row multiplies an empty block and gets +0.0 per reflector
+    rng = np.random.default_rng(22)
+    dense = rng.standard_normal((8, 4))
+
+    def body(comm, layout):
+        step = StepFactor(8)
+        for column in dense_columns(layout, comm, dense[:, :3]):
+            append(step, column)
+        return step.shares(vector(layout, comm, dense[:, 3]))
+
+    shares = on_team([0, 3, 5], body)
+    assert [len(s) for s in shares] == [3, 3, 3]
+    assert shares[0] == [0.0] * 3 and not np.signbit(shares[0]).any()
+
+
+@pytest.mark.parametrize("counts", [[3, 4, 2], [0, 1, 5, 1, 2]])
+def test_append_pivots_at_a_ranks_ends_and_past_its_rows(counts):
+    # the j-th append pivots at global row j: on these teams a rank owns
+    # it at its first row, at its last row, or has all its rows before
+    # it (its pivot row of Y is -0.0).  After every append, R_F and the
+    # reflectors match numpy on the dense columns, as in the reference
+    # test above, and every rank holds the same R_F
+    p = sum(counts)
+    dense = np.random.default_rng(23).standard_normal((p, p))
+
+    def body(comm, layout):
+        step, out = StepFactor(p), []
+        for k, column in enumerate(dense_columns(layout, comm, dense)):
+            append(step, column)
+            stack, outcome, head = step.factor(
+                [(j + 1, 0) for j in range(k + 1)], 0.0)
+            out.append((outcome.kept, np.abs(np.diag(stack.upper)),
+                        gather_columns(reconstruct(stack)),
+                        solved(stack, head, comm, layout)))
+        return out
+
+    ranks = on_team(counts, body)
+    for other in ranks[1:]:
+        for mine, theirs in zip(ranks[0], other):
+            np.testing.assert_array_equal(mine[1], theirs[1])
+    for k, (kept, diag, rebuilt, lam) in enumerate(ranks[0]):
+        where = "counts %r append %d" % (counts, k)
+        offered = dense[:, :k + 1]
+        assert np.linalg.norm(rebuilt - offered) \
+            <= 1e-12 * np.linalg.norm(offered), where
+        # F's newest column is the last one offered: lam = -e_k
+        check_against_dense(where, offered, dense[:, k], kept,
+                            list(range(k + 1)), diag, lam)
+
+
 def test_step_factor_collectives_on_spanning_pivots():
     # team [1, 2, 6], p = 9: an append pays 1 reduction, none once F has
     # a reflector per row, also after a compaction, on top of the one
