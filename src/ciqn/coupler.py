@@ -28,15 +28,18 @@ Every accelerator has the same four methods, and none of them sees the
 :class:`Coupler`: ``start_step()`` at the start of a time step,
 ``shares(r)`` and ``propose(x, x_tilde, r, sums)`` for each iterate
 (the layout and communicator travel with ``r``), and
-``finish_step(converged)`` at the end of the step, which returns how
-many secant columns the filter dropped during it.  Picard and Aitken
+``finish_step(converged, sums)`` at the end of the step, which returns
+how many secant columns the filter dropped during it.  Picard and Aitken
 drop none; ciqn pushes a converged step's columns into its history.
 
 The whole loop of a time step is :meth:`Coupler.run_time_step`: evaluate
 H(x), form r, make one reduction, test, update.  The reduction sums r . r
 with this rank's addends from ``shares(r)`` (Aitken's local delta . delta
 and r_prev . delta once it has an r_prev, ciqn's projection of r through
-its factor), and ``propose`` gets those sums in order.
+its factor and its newest reflector's products), and ``propose`` gets
+those sums in order, r . r first.  ``finish_step`` gets the last ones,
+which no ``propose`` took if the step converged: ciqn finishes its
+newest reflector from them, with no reduction of its own.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ class PicardAccelerator:
                 r: InterfaceVector, sums: list[float]) -> InterfaceVector:
         return x_tilde.copy()
 
-    def finish_step(self, converged: bool) -> int:
+    def finish_step(self, converged: bool, sums: list[float]) -> int:
         return 0
 
 
@@ -203,15 +206,15 @@ class AitkenAccelerator:
         return [float(delta @ delta), float(self._prev_r.local @ delta)]
 
     def propose(self, x, x_tilde, r, sums) -> InterfaceVector:
-        # sums are (delta . delta, r_prev . delta) once there is an r_prev
+        # sums: r . r, delta . delta, r_prev . delta (the last two need r_prev)
         omega = self.omega0 if self._prev_r is None else self._omega
-        if sums and sums[0] != 0.0:
-            omega = min(2.0, max(-2.0, -self._omega * sums[1] / sums[0]))
+        if len(sums) > 1 and sums[1] != 0.0:
+            omega = min(2.0, max(-2.0, -self._omega * sums[2] / sums[1]))
         self._omega = omega
         self._prev_r = r.copy()
         return field.axpy(omega, r, x)
 
-    def finish_step(self, converged: bool) -> int:
+    def finish_step(self, converged: bool, sums: list[float]) -> int:
         return 0
 
 
@@ -268,7 +271,9 @@ class CiqnAccelerator:
             local += np.multiply(coef, w, out=work)
         return InterfaceVector(r.layout, r.comm, local)
 
-    def finish_step(self, converged: bool) -> int:
+    def finish_step(self, converged: bool, sums: list[float]) -> int:
+        if converged:  # no append took the converging iteration's sums
+            self._factor.finish(np.asarray(sums))
         if converged and len(self._log) > 1:
             (k, x_tilde), *past = self._log
             self.history.push([(i, k) for i, _ in past], [InterfaceVector(
@@ -313,8 +318,8 @@ class Coupler:
             x_tilde = problem.evaluate(self.x, self.time_index)
             r = InterfaceVector(x_tilde.layout, self.comm,
                                 x_tilde.local - self.x.local)
-            rr, *sums = field.dots([(r, r)], accel.shares(r))
-            norms.append(float(np.sqrt(rr)))
+            sums = field.dots([(r, r)], accel.shares(r))
+            norms.append(float(np.sqrt(sums[0])))
             if not np.isfinite(norms[-1]):
                 break
             if norms[-1] <= cfg.tol * max(norms[0], RESIDUAL_FLOOR):
@@ -325,7 +330,7 @@ class Coupler:
             # a dead r alive through the next evaluate fragments the heap
             del r  # and peak RSS creeps up from solve to solve
         record = IterationRecord(self.time_index, len(norms), converged,
-                                 accel.finish_step(converged), norms)
+                                 accel.finish_step(converged, sums), norms)
         self.time_index += 1
         return record
 

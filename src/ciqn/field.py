@@ -99,7 +99,8 @@ def dots(pairs, shares=()) -> list[float]:
         _check_compatible(first, a)
         _check_compatible(a, b)
     local = [float(a.local @ b.local) for a, b in pairs]
-    return first.comm.allreduce_sum_array(local + list(shares)).tolist()
+    return first.comm.allreduce_sum_array(
+        np.concatenate((local, shares))).tolist()
 
 
 def axpy(alpha: float, x: InterfaceVector, y: InterfaceVector) -> InterfaceVector:

@@ -9,8 +9,8 @@ formed.
 
 Pivot row j is global row j, on whichever rank owns it.  The few
 replicated scalars each column needs -- its norm below the pivot, the
-pivot itself and the triangle entries above it -- come from one
-zero-padded reduction, so no rank is privileged.
+pivot itself and the triangle entries above it -- come from zero-padded
+reductions, so no rank is privileged.
 
 The relative filter against (near-)dependent columns runs on the
 replicated triangle, with no communication: scanning in column order,
@@ -21,13 +21,15 @@ at j.  Epsilon = 0 turns it off: an exactly dependent column surfaces
 later as a "singular U" error from the triangular solve.
 
 The coupler keeps one ``StepFactor`` per solve.  Its F holds every raw
-residual, each appended with one reduction (none once F has a reflector
-per interface row), its projection through F riding on the coupler's
-r . r (Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976); every
-secant column, the history's too, is a difference of two of F's
+residual, its projection through F riding on the coupler's r . r
+(Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976), its norm
+below the pivot r . r less the squares above (Smoktunowicz, Barlow and
+Langou, Numer. Math. 105, 2006) and its reflector's products on the next
+reduction (Swirydowicz et al., Numer. Linear Algebra Appl. 28, 2021);
+every secant column, the history's too, is a difference of two of F's
 columns, picked from R_F locally.  A step start rebuilds F from its
-live columns, also locally, once they number less than half its
-reflectors.  Y's rows are one block, allocated once per solve, so each
+live columns, also locally (but for a pending reflector's products),
+once they number less than half its reflectors.  Y's rows are one block, allocated once per solve, so each
 product with Y is one matrix-vector product.  ``decompose`` and
 ``apply_qt`` are front-ends over the factor, kept for the tests and the
 benchmark's tracer.  The replicated kernels call LAPACK's ``dgeqrf``,
@@ -40,11 +42,11 @@ C-ordered or 1-by-1 triangle: through its transpose).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from math import copysign, frexp, ldexp, sqrt
+from math import copysign, frexp, inf, ldexp, sqrt
 
 import numpy as np
 
-from .field import InterfaceVector, PartitionLayout, _check_compatible
+from .field import InterfaceVector, PartitionLayout, _check_compatible, dots
 from .runtime import RankComm
 
 
@@ -60,6 +62,11 @@ def _lapack(name: str):
 
 dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs = map(
     _lapack, ("dgeqrf", "dgeqrf_lwork", "dorgqr", "dtrtrs"))
+
+
+# an append takes its norm below the pivot from r . r alone when its
+# square keeps this share of a normal r . r, past the cancellation
+_GATE, _TINY = 1e-8, 2.0 ** -1022
 
 
 class EmptySecantSpaceError(RuntimeError):
@@ -88,9 +95,9 @@ class FilterOutcome:
 class HouseholderStack:
     """The factorization: reflectors plus small replicated matrices.
 
-    reflectors[j] zeroes its column below global row j; each has unit
-    norm (to rounding, once a ``StepFactor`` has compacted) or is zero
-    (the identity: identity_flags[j]).  Their product is I - Y T Y^T.
+    reflectors[j] u zeroes its column below global row j, or is zero (the
+    identity: identity_flags[j]).  Their product is I - Y T Y^T, T's
+    diagonal 2 / (u . u), its last column missing while u is pending.
     Replicated: T, Y's first rows ``y_head`` (reflector i at row j in
     [i, j]), the q-by-q ``upper`` and ``rotation``, the first q rows of
     the local orthogonal factor applied after the reflectors.  A stack
@@ -115,52 +122,15 @@ def _rows_before(layout: PartitionLayout, rank: int, n: int) -> int:
 
 
 def _head_share(layout: PartitionLayout, rank: int, local: np.ndarray,
-                n: int) -> np.ndarray:
-    """This rank's entries among global rows 0..n-1 of its slice
-    ``local``, in an array of length n.  The other entries are -0.0, the
-    exact additive identity, so an allreduce of the shares returns every
-    row's value bit for bit (the sign of a zero included) from whichever
-    rank owns it."""
-    start, rows = layout.starts[rank], _rows_before(layout, rank, n)
-    share = np.full(n, -0.0)
+                share: np.ndarray) -> None:
+    """Write this rank's entries among global rows 0..n-1 of its slice
+    ``local`` into ``share``, of length n.  The other entries are -0.0,
+    the exact additive identity, so an allreduce of the shares returns
+    every row's value bit for bit (the sign of a zero included) from
+    whichever rank owns it."""
+    start, rows = layout.starts[rank], _rows_before(layout, rank, len(share))
+    share[:] = -0.0
     share[start:start + rows] = local[:rows]
-    return share
-
-
-def _reflector_from_column(layout: PartitionLayout, comm: RankComm,
-                           col: np.ndarray, y: np.ndarray):
-    """Turn ``col`` into the reflector zeroing it below global row pivot =
-    len(y), ``y`` the local rows of the reflectors before it.
-
-    Rows before the pivot are treated as zero: they hold already-computed
-    triangle entries and must not move again.  Costs one reduction, which
-    also sums y's product with col from the pivot down, then y's pivot
-    row.  Returns (alpha, nrm, head, those sums): col becomes u = (col
-    from the pivot down - alpha e_pivot) / nrm, with nrm = 0 and u = 0
-    for the identity, and ``head`` holds rows 0..pivot of col, replicated.
-    """
-    start, pivot = layout.starts[comm.rank], len(y)
-    before = _rows_before(layout, comm.rank, pivot)
-    owns, tail = start <= pivot < start + len(col), col[before:]
-    reduced = comm.allreduce_sum_array(np.concatenate((
-        [tail @ tail], _head_share(layout, comm.rank, col, pivot + 1),
-        y[:, before:] @ tail, y[:, before] if owns else np.full(pivot, -0.0))))
-    sigma, head = sqrt(reduced[0]), reduced[1:pivot + 2]
-    pivot_value, extra = float(head[-1]), reduced[pivot + 2:]
-    if sigma == 0.0 or pivot_value == sigma:
-        # a zero column, or one that already has the right shape (keep
-        # its positive pivot)
-        col[:] = 0.0
-        return sigma, 0.0, head, extra
-    alpha = -copysign(sigma, pivot_value)
-    # ||col - alpha*e_pivot|| via replicated scalars; the sign choice
-    # makes pivot_value - alpha an addition, never a cancellation
-    nrm = sqrt(2.0 * sigma * (sigma + abs(pivot_value)))
-    col /= nrm
-    col[:before] = 0.0
-    if owns:
-        col[pivot - start] = (pivot_value - alpha) / nrm
-    return alpha, nrm, head, extra
 
 
 def _qr(m: np.ndarray, reduced: bool = False):
@@ -206,9 +176,10 @@ def _triangularize(m: np.ndarray, epsilon: float):
 
 def decompose(columns: list[InterfaceVector], epsilon: float):
     """Factor the columns into (HouseholderStack, FilterOutcome): append
-    them to a fresh ``StepFactor``, reducing each one's shares alone (2k -
-    1 reductions for k columns, whatever the filter drops), and factor
-    the pairs (j + 1, 0).  EmptySecantSpaceError: nothing left."""
+    them to a fresh ``StepFactor`` as the coupler does, one reduction per
+    column (two where its norm cancels), finish a pending last reflector
+    with one more, and factor the pairs (j + 1, 0).
+    EmptySecantSpaceError: nothing left."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     if not columns:
@@ -217,34 +188,23 @@ def decompose(columns: list[InterfaceVector], epsilon: float):
         _check_compatible(columns[0], c)
     step = StepFactor(len(columns))
     for c in columns:
-        shares = step.shares(c)
-        step.append(c, c.comm.allreduce_sum_array(shares) if shares
-                    else shares)
+        step.append(c, dots([(c, c)], step.shares(c)))
+    step.finish()
     stack, outcome, _ = step.factor(
         [(j + 1, 0) for j in range(len(columns))], epsilon)
     return stack, outcome
 
 
-def _projection_shares(y: np.ndarray, r: InterfaceVector, rows: int) -> list:
-    """This rank's addends to Y^T r, Y's rows ``y``, then to r's first rows."""
-    shares = (y @ r.local).tolist()
-    return shares + _head_share(r.layout, r.comm.rank, r.local,
-                                rows).tolist() if rows else shares
-
-
-def _qt_head(t, y_head, summed: np.ndarray) -> np.ndarray:
-    """Rows 0..n-1 of Q^T r, for Q = I - Y T Y^T with n reflectors, from
-    the summed ``_projection_shares`` of r with n rows."""
-    n = len(t)
-    return summed[n:] - y_head.T @ (t.T @ summed[:n])
-
-
 def apply_qt(stack: HouseholderStack, r: InterfaceVector) -> np.ndarray:
     """First q rows of Q^T r, turned by ``rotation``, replicated on every
-    rank.  One reduction."""
+    rank: r's rows less Y_head T^T Y^T r.  One reduction."""
     y = np.array([v.local for v in stack.reflectors], ndmin=2)
-    summed = r.comm.allreduce_sum_array(_projection_shares(y, r, len(y)))
-    return stack.rotation @ _qt_head(stack.t, stack.y_head, summed)
+    n, shares = len(y), np.empty(2 * len(y))
+    np.dot(y, r.local, out=shares[:n])
+    _head_share(r.layout, r.comm.rank, r.local, shares[n:])
+    summed = r.comm.allreduce_sum_array(shares)
+    return stack.rotation @ (summed[n:]
+                             - stack.y_head.T @ (stack.t.T @ summed[:n]))
 
 
 class StepFactor:
@@ -269,45 +229,116 @@ class StepFactor:
         self._y: list[InterfaceVector] = []  # views of the block's rows
         self._t = self._y_head = np.zeros((0, 0))
         self._upper = np.zeros((0, 1))
+        self._pending = None  # R_F column, pivot value, alpha, nrm
 
-    def shares(self, r: InterfaceVector) -> list:
-        """This rank's addends to the sums ``append`` takes with r: Y^T r,
-        one matrix-vector product over the block, then r's head rows once
-        F has a reflector per interface row."""
-        n = len(self._y)
-        rows = n if n == r.layout.global_size else 0
-        return _projection_shares(self._block[:n], r, rows) if n else []
+    def shares(self, r: InterfaceVector) -> np.ndarray:
+        """This rank's addends to the sums ``append`` takes after r . r:
+        Y^T r; a pending reflector u's Y^T u, u . u last; r's rows 0..n
+        (0..n-1 once F has a reflector per interface row), -0.0 where
+        another rank owns them; Y's pivot row n likewise, n = F's width."""
+        n, p, rank = len(self._y), r.layout.global_size, r.comm.rank
+        lag, rows = n * (self._pending is not None), min(n + 1, p)
+        out = np.empty(n + lag + rows + n * (n < p))
+        _head_share(r.layout, rank, r.local, out[n + lag:n + lag + rows])
+        if n:
+            y, start = self._block[:n], r.layout.starts[rank]
+            np.dot(y, r.local, out=out[:n])
+            if lag:
+                np.dot(y, y[-1], out=out[n:n + lag])
+            if n < p:
+                out[n + lag + rows:] = y[:, n - start] \
+                    if start <= n < start + len(r.local) else -0.0
+        return out
 
     def append(self, r: InterfaceVector, summed) -> int:
         """Make r F's newest column; returns its index.  ``summed`` sums
-        every rank's ``shares(r)`` (the coupler reduces them with r . r).
-        One matrix-vector product projects r, another takes Y's products
-        for T's new column, which ride on the one reduction that builds
-        the reflector; none once F has a reflector per interface row."""
+        every rank's r . r and ``shares(r)``, as the coupler's one
+        reduction does; a pending reflector is finished from them first.
+        R_F's new column follows from them, replicated, and one
+        matrix-vector product projects r locally.  The reflector is left
+        pending, unless its norm squared, r . r less R_F's column above
+        the pivot, falls below _GATE r . r: then one reduction sums it."""
         self.layout, self.comm = layout, comm = r.layout, r.comm
         n, summed = len(self._y), np.asarray(summed)
+        at = 1 + n + n * (self._pending is not None)  # r's rows
+        self.finish(summed)
+        rr, ts = summed[0], self._t.T @ summed[1:n + 1]
+        head = summed[at:at + n] - self._y_head.T @ ts
         if n == layout.global_size:
-            self._upper = np.column_stack(
-                [self._upper, _qt_head(self._t, self._y_head, summed)])
+            self._upper = np.column_stack([self._upper, head])
             return self._upper.shape[1] - 1
         if self._block is None:
             shape = (min(layout.global_size, self.bound), len(r.local))
             self._block, self.work = np.empty(shape), np.empty(shape[1:])
-        y, col = self._block[:n], self._block[n]
-        np.subtract(r.local, np.dot(self._t.T @ summed, y, out=self.work),
-                    out=col)
-        alpha, nrm, head, extra = _reflector_from_column(layout, comm, col, y)
-        # Y u, from Y times col from the pivot down and Y's pivot row
-        y_row = extra[n:]
-        y_u = (extra[:n] - alpha * y_row) / nrm if nrm else np.zeros(n)
-        # (I - Y T Y^T)(I - 2 u u^T)
-        #     = I - [Y u] [[T, -2 T Y u], [0, 2]] [Y u]^T
-        self._t = _bordered(self._t, -2.0 * (self._t @ y_u), 2.0)
+        y, col, y_row = self._block[:n], self._block[n], summed[at + n + 1:]
+        pivot_value = float(summed[at + n] - y_row @ ts)
+        np.subtract(r.local, np.dot(ts, y, out=self.work), out=col)
+        start = layout.starts[comm.rank]
+        before = _rows_before(layout, comm.rank, n)
+        if owns := start <= n < start + len(col):
+            col[n - start] = pivot_value
+        sigma2 = rr - head @ head
+        lagged = bool(_TINY <= rr < inf and sigma2 >= _GATE * rr)
+        if not lagged:  # Y times col from the pivot down, then col's square
+            reduced = comm.allreduce_sum_array(
+                self._block[:n + 1, before:] @ col[before:])
+            sigma2 = reduced[n]
+        # col becomes u = (col from the pivot down - alpha e_pivot) / nrm
+        # (rows before the pivot are R_F's and must not move again), or,
+        # already of that shape or zero, u = 0 with nrm = 0
+        alpha = sigma = sqrt(sigma2)
+        nrm = 0.0 if pivot_value == sigma else sqrt(
+            2.0 * sigma * (sigma + abs(pivot_value)))
+        col[:before if nrm else len(col)] = 0.0
+        if nrm:
+            # the sign choice makes pivot_value - alpha an addition
+            alpha = -copysign(sigma, pivot_value)
+            col /= nrm
+            if owns:
+                col[n - start] = (pivot_value - alpha) / nrm
+        if lagged:  # u . u corrects alpha where the difference lost a bit
+            self._pending = (self._upper.shape[1], pivot_value, alpha,
+                             nrm if 2.0 * sigma2 < rr else 0.0)
+        else:
+            # Y u, from Y times col from the pivot down and Y's pivot row
+            y_u = (reduced[:n] - alpha * y_row) / nrm if nrm else np.zeros(n)
+            # (I - Y T Y^T)(I - 2 u u^T)
+            #     = I - [Y u] [[T, -2 T Y u], [0, 2]] [Y u]^T
+            self._t = _bordered(self._t, -2.0 * (self._t @ y_u), 2.0)
         self._y_head = _bordered(self._y_head, y_row,
-                                 (head[-1] - alpha) / nrm if nrm else 0.0)
-        self._upper = _bordered(self._upper, head[:-1], alpha)
+                                 (pivot_value - alpha) / nrm if nrm else 0.0)
+        self._upper = _bordered(self._upper, head, alpha)
         self._y.append(InterfaceVector(layout, comm, col))
         return self._upper.shape[1] - 1
+
+    def finish(self, summed=None) -> None:
+        """Finish a pending reflector u, pivot row j, from Y^T u and u . u:
+        those the array ``summed`` carries (sums ``append`` takes), or else
+        one reduction's.  nrm u = x - alpha e_j, so u . u gives x's norm,
+        which alpha, u's pivot entry and the u . r in ``summed`` take; T's
+        new column is -tau T Y^T u, tau = 2 / (u . u), 0 for u = 0."""
+        if self._pending is None:
+            return
+        (column, pivot_value, alpha, nrm), j = self._pending, len(self._y) - 1
+        y = self._block[:j + 1]
+        lag = self.comm.allreduce_sum_array(y @ y[j]) if summed is None \
+            else summed[j + 2:2 * j + 3]
+        if nrm:
+            exact = -copysign(sqrt(max(0.0, nrm * nrm * lag[j] + alpha * (
+                2.0 * pivot_value - alpha))), pivot_value)
+            shift, u_j = (alpha - exact) / nrm, self._y_head[j, j]
+            lag[:j] += shift * self._y_head[:j, j]
+            lag[j] += shift * (2.0 * u_j + shift)
+            self._y_head[j, j] = u_j + shift
+            if column is not None:
+                self._upper[j, column] = exact
+            if 0 <= j - self.layout.starts[self.comm.rank] < len(self.work):
+                y[j, j - self.layout.starts[self.comm.rank]] += shift
+            if summed is not None:  # u . r, with r's row j
+                summed[1 + j] += shift * summed[2 * j + 3 + j]
+        tau = 2.0 / lag[j] if lag[j] else 0.0
+        self._t = _bordered(self._t, -tau * (self._t @ lag[:j]), tau)
+        self._pending = None
 
     def _floor(self) -> float:
         # R_F's columns carry rounding of a few ulps per reflector
@@ -347,22 +378,27 @@ class StepFactor:
             rotation, self._t, self._y_head), outcome, head)
 
     def compact(self, columns) -> dict:
-        """Keep of F what the pairs ``columns`` need, with no
-        communication; returns each pair's new pair.  With up to twice as
-        many reflectors as distinct pairs only R_F's dead columns go;
-        beyond, F becomes the pairs' columns (none: F starts empty).
-        With R_F E = Q_s R_s, B = Q_F [Q_s; 0] is (I - Y'T'Y'^T)[S; 0]
-        for the LU B - [S; 0] = Y'U and T' = -U S Y'_head^-T (Ballard et
-        al., JPDC 85, 2015), and R_F becomes S R_s."""
+        """Keep of F what the pairs ``columns`` need; returns each pair's
+        new pair.  With up to twice as many reflectors as distinct pairs
+        only R_F's dead columns go; beyond, F becomes the pairs' columns
+        (none: F starts empty).  With R_F E = Q_s R_s, B = Q_F [Q_s; 0] is
+        (I - Y'T'Y'^T)[S; 0] for the LU B - [S; 0] = Y'U and T' = -U S
+        Y'_head^-T (Ballard et al., JPDC 85, 2015), and R_F becomes S R_s.
+        No communication, except the one reduction that finishes a
+        pending reflector before a rebuild."""
         live = list(dict.fromkeys(columns))
         if not live:  # F starts empty
             del self._y[:]
             self._t = self._y_head = np.zeros((0, 0))
-            self._upper = self._upper[:0]
+            self._upper, self._pending = self._upper[:0], None
         if len(self._y) <= 2 * len(live):
             where = {i: k for k, i in enumerate(sorted({0}.union(*live)))}
             self._upper = self._upper[:, list(where)]
+            if self._pending:  # its column may be dead
+                self._pending = (where.get(self._pending[0]),
+                                 *self._pending[1:])
             return {pair: (where[pair[0]], where[pair[1]]) for pair in live}
+        self.finish()
         q_s, r_s = _qr(self._pick(live), reduced=True)
         # B = [Q_s; 0] - Y G, whose top q rows every rank holds: their
         # LU without pivoting, each sign in S making its pivot >= 1
@@ -374,11 +410,9 @@ class StepFactor:
             lu[j + 1:, j] /= lu[j, j]
             lu[j + 1:, j + 1:] -= np.outer(lu[j + 1:, j], lu[j, j + 1:])
         lower, upper = np.tril(lu, -1) + np.eye(q), np.triu(lu)
-        t = -dtrtrs(lower.T, (upper * signs).T, trans=1, unitdiag=1)[0].T
-        # Y' D, D = sqrt(diag(T') / 2), are unit reflectors, Q_F their
-        # product, with T = D^-1 T' D^-1
-        d = np.sqrt(np.diagonal(t) / 2.0)
-        self._t, self._y_head = t / np.outer(d, d), d[:, None] * lower.T
+        self._t = -dtrtrs(lower.T, (upper * signs).T, trans=1,
+                          unitdiag=1)[0].T
+        self._y_head = np.ascontiguousarray(lower.T)
         start, count = self.layout.starts[self.comm.rank], len(self.work)
         # below its head, the LU's unit triangle, Y' = B U^-1
         #     = [Q_s; 0] U^-1 - Y G U^-1, written over Y by row chunks
@@ -389,7 +423,7 @@ class StepFactor:
             chunk = -g_u @ y
             chunk[:, rows < n] += q_u[:, rows[rows < n]]
             chunk[:, rows < q] = lower[rows[rows < q]].T
-            np.multiply(d[:, None], chunk, out=y[:q])
+            y[:q] = chunk
         del self._y[q:]
         self._upper = np.column_stack([np.zeros(q), signs[:, None] * r_s])
         return {pair: (j + 1, 0) for j, pair in enumerate(live)}

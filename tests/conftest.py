@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ciqn import coupler
-from ciqn.field import InterfaceVector, PartitionLayout, distribute
+from ciqn.field import InterfaceVector, PartitionLayout, distribute, dots
 from ciqn.qr import apply_qt, back_substitute, decompose
 from ciqn.runtime import RankComm, run_spmd
 
@@ -51,11 +51,9 @@ def counted_solve(*args, **kwargs):
 
 
 def append(factor, r) -> int:
-    """``factor.append`` with r's shares reduced on their own, as
-    ``decompose`` does; an empty factor has none to reduce."""
-    shares = factor.shares(r)
-    return factor.append(r, r.comm.allreduce_sum_array(shares)
-                         if shares else shares)
+    """``factor.append`` with r's shares reduced with r . r, as the
+    coupler and ``decompose`` do."""
+    return factor.append(r, dots([(r, r)], factor.shares(r)))
 
 
 def vector(layout, comm, full) -> InterfaceVector:
@@ -78,11 +76,27 @@ def compact_lstsq(dense_v, r_full, epsilon=0.0):
     return lam, stack, outcome
 
 
+def finished_t(stack):
+    """The stack's T, with its newest reflector u's column if
+    ``StepFactor.finish`` has not written it yet (T one column short),
+    computed eagerly with one reduction: tau = 2 / (u . u), 0 for u = 0,
+    and the column -tau T Y^T u.  Unlike ``finish`` it leaves alpha as
+    r . r gave it, so the factor is rebuilt as it stands."""
+    t, y = stack.t, np.array([v.local for v in stack.reflectors])
+    if len(t) == len(y):
+        return t
+    lag = stack.reflectors[0].comm.allreduce_sum_array(y @ y[-1])
+    tau = 2.0 / lag[-1] if lag[-1] else 0.0
+    done = np.zeros((len(y), len(y)))
+    done[:-1, :-1], done[:-1, -1], done[-1, -1] = t, -tau * (t @ lag[:-1]), tau
+    return done
+
+
 def reconstruct(stack):
     """The kept columns Q [C; 0], C = rotation^T U, as distributed
     vectors: [C; 0] - Y T (Y_head C), each rank its own rows, with no
-    collective.  The verification aid: they should match the kept input
-    columns to round-off."""
+    collective once T is finished (``finished_t``).  The verification
+    aid: they should match the kept input columns to round-off."""
     layout, comm = stack.reflectors[0].layout, stack.reflectors[0].comm
     start, count = layout.starts[comm.rank], layout.counts[comm.rank]
     columns = stack.rotation.T @ stack.upper
@@ -90,7 +104,7 @@ def reconstruct(stack):
     padded[:len(columns)] = columns
     y_local = np.array([y.local for y in stack.reflectors]).T
     block = padded[start:start + count] \
-        - y_local @ (stack.t @ (stack.y_head @ columns))
+        - y_local @ (finished_t(stack) @ (stack.y_head @ columns))
     return [InterfaceVector(layout, comm, block[:, j].copy())
             for j in range(stack.q)]
 

@@ -1,12 +1,13 @@
 """Coupling loop, accelerators, and the per-step bookkeeping."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from ciqn import coupler as cp
-from ciqn import field, problems, qr
+from ciqn import field, harness, problems, qr
 from ciqn.coupler import (RESIDUAL_FLOOR, AitkenAccelerator, Coupler,
                           CouplerConfig, HistoryStore, IterationRecord,
                           RankDisagreementError, make_accelerator,
@@ -148,8 +149,8 @@ def test_zero_projection_returns_operator_output_unchanged():
     accel.start_step()
 
     def propose(x, x_tilde, r):
-        # the coupler's side: r's shares summed with r . r
-        _, *sums = field.dots([(r, r)], accel.shares(r))
+        # the coupler's side: r . r and r's shares summed, in order
+        sums = field.dots([(r, r)], accel.shares(r))
         return accel.propose(x, x_tilde, r, sums)
 
     x = vector(layout, comm, [0.0, 0.0])
@@ -183,12 +184,14 @@ def test_history_reuse_shortens_later_steps():
 
 def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
     # team [1, 2, 6], p = 9: one factor serves the whole solve; the
-    # first proposal of every step after the first costs one append, 1
-    # allreduce, or none once F has a reflector per row, on top of the
-    # coupler's one reduction per iteration that sums the append's
-    # shares with r . r; compaction and ``factor`` cost none.  Ranking 2
-    # rebuilds F at step starts (blocks of 2 pairs), ranking 5 keeps it
-    # full
+    # first proposal of every step after the first costs one append, on
+    # top of the coupler's one reduction per iteration that sums the
+    # append's shares with r . r: 1 allreduce where the append declines
+    # to build its reflector locally (it leaves none pending), else
+    # none, and none once F has a reflector per row; compaction and
+    # ``factor`` cost none, a converged step leaving no reflector
+    # pending.  Ranking 2 rebuilds F at step starts (blocks of 2
+    # pairs), ranking 5 keeps it full
     made, calls = [], {}
 
     def counted(name, real):
@@ -202,7 +205,8 @@ def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
             spent = {k: comm.counters[k] - before[k] for k in before}
             factor = self._factor if name == "propose" else self
             calls.setdefault(comm.rank, []).append(
-                (name, spent, factor.reflectors))
+                (name, spent, factor.reflectors,
+                 factor._pending is not None))
             return out
         return wrapper
 
@@ -231,24 +235,27 @@ def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
         assert sorted(made) == ["rank0", "rank1", "rank2"]
         iterations = sum(record.iterations for record in result.records)
         for rank, rank_calls in calls.items():
-            appends = sum(spent["allreduce"] for name, spent, _ in rank_calls
+            appends = sum(spent["allreduce"]
+                          for name, spent, *_ in rank_calls
                           if name == "append")
             assert counters[rank] == dict(
                 none, allreduce=iterations + appends,
                 allgather=iterations + 1)
             # reflectors after each call: an append adds one unless F
             # was full; a compaction that rebuilds F leaves fewer
-            steps, width, rebuilt = [[]], 0, 0
-            for name, spent, after in rank_calls:
+            steps, width, rebuilt, lagged = [[]], 0, 0, 0
+            for name, spent, after, pending in rank_calls:
                 if name in ("compact", "factor"):
                     assert spent == none
                     if name == "compact":
+                        assert not pending
                         steps.append([])
                         rebuilt += after < width
                 elif name == "append":
                     # none on a full factor
-                    assert spent == dict(none, allreduce=int(width < 9))
-                    appended = spent, width == 9
+                    assert spent == dict(
+                        none, allreduce=int(width < 9 and not pending))
+                    appended, lagged = (spent, width == 9), lagged + pending
                 else:
                     assert spent == appended[0]  # the proposal's append
                     steps[-1].append(appended[1])
@@ -257,14 +264,16 @@ def test_carried_factor_costs_on_spanning_pivots(monkeypatch):
             assert [step[0] for step in steps[1:]] == [ranking == 5] * 5
             assert any(full for step in steps for full in step)
             assert (rebuilt > 0) == (ranking == 2)
+            assert lagged > 0
 
 
 def test_history_factored_once_per_step(monkeypatch):
     # each residual enters the solve's one factor once, by an append at
     # its step's proposal; a later step starts by compacting F and
     # reuses the history's columns from it, never factoring them again.
-    # An append costs 1 allreduce, none once F is full, on top of the
-    # coupler's one per iteration
+    # A converged step costs one allreduce per iteration, plus one per
+    # append that declines to build its reflector locally (it leaves
+    # none pending); F is never full here
     real_init, real_append = qr.StepFactor.__init__, qr.StepFactor.append
     real_compact = qr.StepFactor.compact
     made, appends, compactions = [], [], []
@@ -274,8 +283,10 @@ def test_history_factored_once_per_step(monkeypatch):
         real_init(self, bound)
 
     def counted_append(self, r, summed):
-        appends.append((r, self.reflectors < r.layout.global_size))
-        return real_append(self, r, summed)
+        assert self.reflectors < r.layout.global_size
+        out = real_append(self, r, summed)
+        appends.append((r, self._pending is None))
+        return out
 
     def counted_compact(self, columns):
         compactions.append(list(columns))
@@ -299,7 +310,8 @@ def test_history_factored_once_per_step(monkeypatch):
         record = coupler.run_time_step(problem)
         assert record.converged and record.iterations >= 3
         assert comm.counters["allreduce"] - before \
-            == record.iterations + sum(grows for _, grows in appends)
+            == record.iterations + sum(declined for _, declined in appends)
+        assert coupler.accelerator._factor._pending is None
         # one factor for the solve; the step start compacts it for the
         # history's pairs; every proposal, the first included, appends
         # its residual and nothing else
@@ -307,6 +319,70 @@ def test_history_factored_once_per_step(monkeypatch):
         assert compactions == [history]
         assert len(appends) == record.iterations - 1
         assert len({id(r) for r, _ in appends}) == len(appends)
+
+
+@pytest.mark.parametrize("counts", [[9], [1, 2, 6], [0, 3, 5]])
+def test_step_reductions_with_a_step_stopped_at_max_iters(monkeypatch,
+                                                          counts):
+    # teams whose pivot rows span ranks, behind an empty one too: a
+    # converged step costs one allreduce per iteration plus one per
+    # append that declines to build its reflector locally (it leaves none
+    # pending).  A step stopped at max_iters leaves its last reflector
+    # pending, and the next step start, whose compaction rebuilds F,
+    # finishes it with exactly one reduction more.  The ranks agree
+    real_append, real_compact = qr.StepFactor.append, qr.StepFactor.compact
+    declined, compactions = {}, {}
+
+    def counted_append(self, r, summed):
+        grows = self.reflectors < r.layout.global_size
+        out = real_append(self, r, summed)
+        rank = r.comm.rank
+        declined[rank] = declined.get(rank, 0) + (grows
+                                                  and self._pending is None)
+        return out
+
+    def counted_compact(self, columns):
+        before = self.reflectors
+        out = real_compact(self, columns)
+        if columns:
+            compactions.setdefault(self.comm.rank, []).append(
+                (before, self.reflectors))
+        return out
+
+    monkeypatch.setattr(qr.StepFactor, "append", counted_append)
+    monkeypatch.setattr(qr.StepFactor, "compact", counted_compact)
+    problem = problems.make_problem("linear", seed=0, dim=sum(counts))
+    config = CouplerConfig(histories=1, ranking=2, epsilon=1e-9, tol=1e-8)
+    capped = CouplerConfig(histories=1, ranking=2, epsilon=1e-9, tol=1e-8,
+                           max_iters=4)
+
+    def body(comm, layout):
+        coupler, out = Coupler(comm, layout, config), []
+        for step_config in (config, config, capped, config, config):
+            coupler.config = step_config
+            before = comm.counters["allreduce"] - declined.get(comm.rank, 0)
+            record = coupler.run_time_step(problem)
+            extra = comm.counters["allreduce"] - declined.get(comm.rank, 0) \
+                - before - record.iterations
+            out.append((record, extra,
+                        coupler.accelerator._factor._pending is not None))
+        return out
+
+    per_rank = on_team(counts, body)
+    for out, other in zip(per_rank, per_rank[1:]):
+        assert [step[0] for step in out] == [step[0] for step in other]
+    for out in per_rank:
+        assert [record.converged for record, *_ in out] \
+            == [True, True, False, True, True]
+        assert [extra for _, extra, _ in out] == [0, 0, 0, 1, 0]
+        assert [pending for *_, pending in out] \
+            == [False, False, True, False, False]
+    for rank, steps in compactions.items():
+        # the step start after the stopped step rebuilds F
+        before, after = steps[2]
+        assert 0 < after < before, steps
+    result = solve_coupled(problem, config, 5, counts=counts)
+    assert all(record.converged for record in result.records)
 
 
 def test_carried_factor_stays_bounded(monkeypatch):
@@ -477,7 +553,7 @@ def test_aitken_keeps_factor_on_stagnant_residual():
     def propose(x, r):
         # the coupler's side of the contract: one reduction for r . r
         # and the accelerator's shares, their sums handed back in order
-        _, *sums = field.dots([(r, r)], accel.shares(r))
+        sums = field.dots([(r, r)], accel.shares(r))
         return accel.propose(x, None, r, sums)
 
     x = vector(layout, comm, [0.0, 0.0])
@@ -571,14 +647,44 @@ def test_one_allreduce_per_iteration_on_a_spanning_team(name):
                                      counts=[0, 3, 5])
     iterations = sum(r.iterations for r in result.records)
     if name == "ciqn":
-        # the appends' reflectors come on top of the residual's one
-        # reduction, which carries their projections
+        # the residual's one reduction carries the appends' projections
+        # and their reflectors' products; one of the 25 appends declines
+        # to build its reflector locally and reduces on its own
         assert iterations == 30
-        expected = {"allreduce": 45, "broadcast": 0, "allgather": 31}
+        expected = {"allreduce": 30 + 1, "broadcast": 0, "allgather": 31}
     else:
         expected = {"allreduce": iterations, "broadcast": 0,
                     "allgather": iterations + 1}
     assert counters == [expected] * 3
+
+
+# part of the default linear sweep (CIQN_SEED 0), (histories, ranking,
+# epsilon): cells with and without histories, and h 1, r 5, where appends
+# decline the gate
+GUARD_CELLS = [(0, 5, 0.1), (0, 10, 0.0), (1, 5, 0.0), (1, 5, 1e-3),
+               (1, 5, 0.1), (2, 5, 0.1), (5, 10, 1e-5), (10, 10, 0.1)]
+
+
+def test_default_sweep_cells_cost_one_reduction_and_one_gather_per_iter():
+    # a ciqn iteration makes one reduction and the problem's gather; only
+    # an append whose norm below the pivot cancels adds a reduction of
+    # its own.  The totals are exact per seed
+    spec = harness.SweepSpec()
+    problem = problems.make_problem(spec.problem, seed=spec.seed)
+    started = time.perf_counter()
+    iterations, totals = 0, {"allreduce": 0, "broadcast": 0, "allgather": 0}
+    for cell in GUARD_CELLS:
+        result, (counters,) = counted_solve(problem, spec.config(*cell),
+                                            spec.steps)
+        assert not result.diverged
+        iterations += sum(r.iterations for r in result.records)
+        totals = {kind: totals[kind] + counters[kind] for kind in totals}
+    elapsed = time.perf_counter() - started
+    assert iterations == 2583
+    assert totals == {"allreduce": 2583 + 94, "broadcast": 0,
+                      "allgather": 2583 + len(GUARD_CELLS)}
+    assert (totals["allreduce"] + totals["allgather"]) / iterations <= 2.05
+    assert elapsed < 1.0, "took %.2f s, budget 1 s" % elapsed
 
 
 def test_aitken_monotone_on_contraction():

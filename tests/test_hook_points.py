@@ -124,11 +124,13 @@ def test_tracer_wrappers_run_the_kernels_they_wrap():
                  "gather"):
         assert on_rank(name) >= {0}, name
     assert on_rank("run_time_step") == {0, 1}
+    # one reduction per column, none of which cancels below the gate, and
+    # one that finishes the last reflector
     decompose_spans = {span[0] for span in tracer.spans
                        if span[1] == "decompose" and span[5] == 0}
     assert sum(entry["allreduce"][0]
                for (sid, rank), entry in tracer.collectives.items()
-               if sid in decompose_spans and rank == 0) == 2 * 3 - 1
+               if sid in decompose_spans and rank == 0) == 3 + 1
 
 
 def test_every_traced_evaluate_gathers_under_its_own_span():

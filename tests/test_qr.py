@@ -327,6 +327,37 @@ def test_back_substitute_floor_holds_at_extreme_scales():
             back_substitute(flat, ones, comm, layout)
 
 
+# -- scale ----------------------------------------------------------------
+
+def scaled_lstsq(scale):
+    """(lam, allreduces) of ``compact_lstsq`` on default_rng(0)'s 4-by-3
+    columns and 4-vector r, both scaled, epsilon 1e-9, on one rank."""
+    rng = np.random.default_rng(0)
+    dense, r_full = rng.standard_normal((4, 3)), rng.standard_normal(4)
+    lam, stack, _ = compact_lstsq(scale * dense, scale * r_full, 1e-9)
+    return lam, stack.reflectors[0].comm.counters["allreduce"]
+
+
+def test_power_of_two_scales_solve_bit_for_bit():
+    # r . r, the squares it loses and the gate's share of it scale by a
+    # power of four exactly, so every append takes the unscaled path
+    lam, reductions = scaled_lstsq(1.0)
+    assert reductions == 3 + 1 + 1  # the columns, the last lag, apply_qt
+    for exponent in (100, -100, 200, -200, 300, -300):
+        scaled, count = scaled_lstsq(2.0 ** exponent)
+        assert scaled.tobytes() == lam.tobytes(), exponent
+        assert count == reductions, exponent
+
+
+def test_a_subnormal_r_dot_r_declines_the_gate():
+    # at 1e-160 each column's c . c is subnormal, so every append reduces
+    # its own tail and leaves no reflector to finish; at 1e-200 the
+    # filter finds every column zero
+    assert scaled_lstsq(1e-160)[1] == 2 * 3 + 1
+    with pytest.raises(EmptySecantSpaceError):
+        scaled_lstsq(1e-200)
+
+
 # -- reconstruct --------------------------------------------------------
 
 def test_reconstruct_recovers_columns():
@@ -347,8 +378,12 @@ def test_reconstruct_recovers_columns():
 # -- collective shape ---------------------------------------------------
 
 def test_collectives_per_kernel_on_spanning_pivots():
-    # pivot rows 0..3 sit on all three ranks; nothing is broadcast;
-    # ``decompose`` pays as much when the filter drops a column
+    # pivot rows 0..3 sit on all three ranks; nothing is broadcast.
+    # ``decompose`` pays one reduction per column, plus one to finish
+    # its last reflector, which the next column's reduction would have
+    # carried; a column within 1e-13 of the span of those before it
+    # cancels below the gate and reduces its tail on its own, and leaves
+    # nothing to finish
     rng = np.random.default_rng(31)
     k = 4
     dense = random_tall(9, k, 10.0, rng)
@@ -377,9 +412,8 @@ def test_collectives_per_kernel_on_spanning_pivots():
 
     for (dec, qt, back, drop), live in on_team([1, 2, 6], body):
         assert live == k
-        assert dec == {"allreduce": 2 * k - 1, "broadcast": 0,
-                       "allgather": 0}
-        assert drop == ({"allreduce": 2 * (k + 1) - 1, "broadcast": 0,
+        assert dec == {"allreduce": k + 1, "broadcast": 0, "allgather": 0}
+        assert drop == ({"allreduce": (k + 1) + 1, "broadcast": 0,
                          "allgather": 0}, [k])
         assert qt == {"allreduce": 1, "broadcast": 0, "allgather": 0}
         assert back == {"allreduce": 0, "broadcast": 0, "allgather": 0}
@@ -653,8 +687,8 @@ def test_carried_factor_matches_dense_reference_across_steps():
                 check_against_dense(where, offered, r_k, kept, ref_kept,
                                     diag, lam)
                 if kept:
-                    # the reflectors, unit ones after compactions too,
-                    # rebuild the kept columns
+                    # the reflectors, rebuilt ones after compactions
+                    # too, rebuild the kept columns
                     chosen = offered[:, kept]
                     assert np.linalg.norm(rebuilt - chosen) \
                         <= 1e-12 * np.linalg.norm(chosen), where
@@ -663,15 +697,21 @@ def test_carried_factor_matches_dense_reference_across_steps():
 
 
 def test_compaction_is_local_and_rewrites_y_in_place():
-    # rebuilding F makes no collective on a team whose pivot rows span
-    # three ranks, and on a wide interface it holds a chunk of rows at a
-    # time, never a second copy of Y; F then still solves for its pairs
+    # rebuilding F on a team whose pivot rows span three ranks makes no
+    # collective once F's newest reflector is finished, and exactly one,
+    # which finishes it, while it is pending; on a wide interface it
+    # holds a chunk of rows at a time, never a second copy of Y.  F then
+    # still solves for its pairs, and each rebuilt reflector u has tau =
+    # 2 / (u . u) on T's diagonal, so I - tau u u^T is orthogonal
     rng = np.random.default_rng(41)
 
-    def rebuild(comm, layout, residuals):
+    def rebuild(comm, layout, residuals, pending):
         step = StepFactor(8)  # F never holds more than 8 reflectors here
         for column in dense_columns(layout, comm, residuals):
             append(step, column)
+        assert step._pending is not None
+        if not pending:
+            step.finish()
         before = dict(comm.counters)
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -679,14 +719,16 @@ def test_compaction_is_local_and_rewrites_y_in_place():
         renamed = step.compact([(1, 3), (2, 3), (5, 0)])
         extra = tracemalloc.get_traced_memory()[1] - held
         tracemalloc.stop()
-        assert comm.counters == before
+        assert comm.counters == dict(before,
+                                     allreduce=before["allreduce"] + pending)
         assert step.reflectors == 3
-        norms = np.linalg.norm(gather_columns(
-            step.factor([(1, 0)], 0.0)[0].reflectors), axis=0)
+        stack = step.factor([(1, 0)], 0.0)[0]
+        y = gather_columns(stack.reflectors)
+        orthogonal = np.diagonal(stack.t) * np.einsum("ij,ij->j", y, y) / 2
         newest = append(step, vector(layout, comm, residuals[:, 0]))
         stack, _, head = step.factor(
             [renamed[1, 3], renamed[2, 3], renamed[5, 0], (newest, 0)], 0.0)
-        return extra, norms, back_substitute(stack, -head, comm, layout)
+        return extra, orthogonal, back_substitute(stack, -head, comm, layout)
 
     for counts in ([9], [1, 2, 6], [8 * 4096 + 5]):
         p = sum(counts)
@@ -695,20 +737,23 @@ def test_compaction_is_local_and_rewrites_y_in_place():
                                   residuals[:, 1] - residuals[:, 2],
                                   residuals[:, 4], residuals[:, 0]])
         reference, *_ = np.linalg.lstsq(chosen, -residuals[:, 0], rcond=None)
-        for extra, norms, lam in on_team(
-                counts, lambda comm, layout: rebuild(comm, layout, residuals)):
-            np.testing.assert_allclose(norms, 1.0, rtol=1e-14)
-            np.testing.assert_allclose(lam, reference, atol=1e-10)
-            if p > 4096:
-                # Y is 8 reflectors of p rows
-                assert extra < 8 * p * 8 / 2, extra
+        for pending in (False, True):
+            for extra, orthogonal, lam in on_team(
+                    counts, lambda comm, layout: rebuild(comm, layout,
+                                                         residuals, pending)):
+                np.testing.assert_allclose(orthogonal, 1.0, rtol=1e-14)
+                np.testing.assert_allclose(lam, reference, atol=1e-10)
+                if p > 4096:
+                    # Y is 8 reflectors of p rows
+                    assert extra < 8 * p * 8 / 2, extra
 
 
 def test_apply_qt_agrees_with_the_step_factor():
     # apply_qt of the stack ``factor`` returns projects F's newest
     # column, through the stack's T and Y head, to the head ``factor``
-    # returns: with 5 reflectors for 2 live pairs, and again once a
-    # ``compact`` has rebuilt T, Y and its head from them
+    # returns, once the newest reflector is finished: with 5 reflectors
+    # for 2 live pairs, and again once a ``compact`` has rebuilt T, Y and
+    # its head from them
     rng = np.random.default_rng(43)
     residuals = rng.standard_normal((9, 7))
 
@@ -717,6 +762,7 @@ def test_apply_qt_agrees_with_the_step_factor():
         step, out = StepFactor(residuals.shape[1]), []  # one per column
         for r in rs[:5]:
             newest = append(step, r)
+        step.finish()
         stack, _, head = step.factor(
             [(1, newest), (2, newest), (3, newest)], 0.0)
         out.append((apply_qt(stack, rs[4]), head))
@@ -724,6 +770,7 @@ def test_apply_qt_agrees_with_the_step_factor():
         assert step.reflectors == 2
         for r in rs[5:]:
             newest = append(step, r)
+        step.finish()
         stack, _, head = step.factor(
             list(renamed.values()) + [(newest - 1, newest)], 0.0)
         out.append((apply_qt(stack, rs[6]), head))
@@ -737,65 +784,122 @@ def test_apply_qt_agrees_with_the_step_factor():
 
 
 def test_append_with_the_couplers_sums_matches_its_own_reduction():
-    # the coupler sums an append's shares after r . r in its one
-    # reduction; the factor that takes those sums is bitwise the one
-    # whose shares are reduced on their own: from an empty factor,
+    # the coupler's appends leave a reflector whose norm comes from
+    # r . r pending, and the next append's reduction carries its
+    # products; finishing each one at once, with a reduction of its
+    # own, gives the same factor to rounding: from an empty factor,
     # through F's full-interface appends, and after a compaction that
-    # rebuilds F.  Every rank's shares are as long
+    # rebuilds F.  The appends cost the same, and every rank's shares
+    # are as long: Y^T r, the pending products, r's head rows, then Y's
+    # pivot row while F has fewer reflectors than interface rows
     rng = np.random.default_rng(47)
 
-    def state(factor):
-        return [factor._upper[:, -1].tobytes(), factor._t.tobytes(),
-                factor._y_head.tobytes()] \
-            + [y.local.tobytes() for y in factor._y]
-
     def body(comm, layout, residuals):
-        p, lengths = layout.global_size, []
+        def spent(call):
+            before = comm.counters["allreduce"]
+            call()
+            return comm.counters["allreduce"] - before
+
+        p, lengths, finishes = layout.global_size, [], []
         bound = residuals.shape[1]  # one append per column
-        fused, alone = StepFactor(bound), StepFactor(bound)
+        lagged, eager = StepFactor(bound), StepFactor(bound)
         for k, r in enumerate(dense_columns(layout, comm, residuals)):
             if k == p + 2:
                 # p reflectors for 2 live pairs: both rebuild F
-                renamed = fused.compact([(1, 5), (3, 10)])
-                assert alone.compact([(1, 5), (3, 10)]) == renamed
-                assert fused.reflectors == 2
-            shares = fused.shares(r)
-            lengths.append(len(shares))
-            _, *sums = dots([(r, r)], shares)
-            assert fused.append(r, sums) == append(alone, r)
-            assert state(fused) == state(alone), k
-        return lengths
+                renamed = lagged.compact([(1, 5), (3, 10)])
+                assert eager.compact([(1, 5), (3, 10)]) == renamed
+                assert lagged.reflectors == 2
+            n, pending = lagged.reflectors, lagged._pending is not None
+            lengths.append(len(lagged.shares(r)) == n + n * pending
+                           + min(n + 1, p) + n * (n < p))
+            assert spent(lambda: append(lagged, r)) \
+                == spent(lambda: append(eager, r))
+            finishes.append((eager._pending is not None,
+                             spent(eager.finish)))
+        lagged.finish()
+        for mine, theirs in zip(
+                [lagged._upper, lagged._t, lagged._y_head,
+                 gather_columns(lagged._y)],
+                [eager._upper, eager._t, eager._y_head,
+                 gather_columns(eager._y)]):
+            assert mine.shape == theirs.shape
+            assert np.linalg.norm(mine - theirs) \
+                <= 1e-14 * np.linalg.norm(theirs), k
+        assert all(cost == was for was, cost in finishes)
+        return lengths, sum(was for was, _ in finishes)
 
     for counts in ([1, 2, 6], [0, 3, 5], [9]):
         p = sum(counts)
         residuals = rng.standard_normal((p, p + 4))
         per_rank = on_team(counts, lambda comm, layout: body(
             comm, layout, residuals))
-        # empty, growing, full for two appends, rebuilt to 2 reflectors
-        assert per_rank == [list(range(p)) + [2 * p] * 2 + [2, 3]] \
-            * len(counts)
+        for lengths, lags in per_rank:
+            assert all(lengths) and lags >= p
 
 
-def test_append_on_an_empty_factor_takes_r_bit_for_bit(monkeypatch):
+@pytest.mark.parametrize("counts", [[9], [1, 2, 6], [0, 3, 5]])
+def test_finished_reflectors_hold_the_eager_t(counts):
+    # once finished, each reflector u of F holds tau = 2 / (u . u) on T's
+    # diagonal and -tau T Y^T u above it, as T built eagerly from the
+    # gathered reflectors does, and Y's head is theirs bit for bit: for
+    # reflectors left pending (with alpha corrected by u . u or not) and
+    # for one built by its own reduction.  F rebuilds its columns
+    rng = np.random.default_rng(53)
+    p = sum(counts)
+    residuals = rng.standard_normal((p, 7))
+    # mostly along the span before it: alpha from r . r loses bits
+    residuals[:, 3] = 10.0 * residuals[:, 1] - 4.0 * residuals[:, 2] \
+        + 0.1 * residuals[:, 3]
+    # within 1e-9 of that span: below the gate
+    residuals[:, 5] = residuals[:, 0] - residuals[:, 4] \
+        + 1e-9 * residuals[:, 5]
+
+    def body(comm, layout):
+        step, kinds = StepFactor(residuals.shape[1]), []  # one per column
+        for column in dense_columns(layout, comm, residuals):
+            append(step, column)
+            kinds.append("declined" if step._pending is None else
+                         "corrected" if step._pending[3] else "lagged")
+        step.finish()
+        stack, _, _ = step.factor([(j + 1, 0) for j in range(7)], 0.0)
+        return (kinds, stack.t, stack.y_head, gather_columns(stack.reflectors),
+                gather_columns(reconstruct(stack)))
+
+    for kinds, t, y_head, y, rebuilt in on_team(counts, body):
+        assert (kinds[0], kinds[3], kinds[5]) \
+            == ("lagged", "corrected", "declined")
+        eager = np.zeros((7, 7))
+        for k, u in enumerate(y.T):
+            tau = 2.0 / (u @ u)
+            eager[:k, k] = -tau * (eager[:k, :k] @ (y[:, :k].T @ u))
+            eager[k, k] = tau
+        assert np.linalg.norm(t - eager) <= 1e-14 * np.linalg.norm(eager)
+        assert y_head.tobytes() == np.ascontiguousarray(y[:7].T).tobytes()
+        assert np.linalg.norm(rebuilt - residuals) \
+            <= 1e-12 * np.linalg.norm(residuals)
+
+
+def test_append_on_an_empty_factor_takes_r_bit_for_bit():
     # with no reflector the projection r - Y T^T Y^T r is a product over
-    # an empty block: it leaves r unchanged, the sign of its zeros too
-    taken, real = [], qr._reflector_from_column
-
-    def spy(layout, comm, col, y):
-        taken.append(col.copy())
-        return real(layout, comm, col, y)
-
-    monkeypatch.setattr(qr, "_reflector_from_column", spy)
+    # an empty block: it leaves r unchanged, the sign of its zeros too.
+    # The pivot -0.0 gives alpha = +5, and below it u is r / nrm
     layout, comm = single_rank(4)
     r = vector(layout, comm, [-0.0, 3.0, -4.0, 0.0])
-    assert append(StepFactor(4), r) == 1
-    assert taken[0].tobytes() == r.local.tobytes()
-    assert np.signbit(taken[0][0]) and not np.signbit(taken[0][3])
+    step = StepFactor(4)
+    assert append(step, r) == 1
+    step.finish()
+    stack = step.factor([(1, 0)], 0.0)[0]
+    u = stack.reflectors[0].local
+    assert stack.upper.tolist() == [[5.0]]
+    assert u[1:].tobytes() == (r.local[1:] / np.sqrt(50.0)).tobytes()
+    assert not np.signbit(u[3])
 
 
 def test_shares_on_a_rank_with_no_rows_are_positive_zeros():
-    # ``field.dots`` promises that no rank contributes -0.0: a rank that
-    # owns no row multiplies an empty block and gets +0.0 per reflector
+    # ``field.dots`` promises that no rank contributes -0.0 to a
+    # product: a rank that owns no row multiplies an empty block and
+    # gets +0.0 for Y^T r and for the pending reflector's products,
+    # and -0.0, the additive identity, for the rows it does not own
     rng = np.random.default_rng(22)
     dense = rng.standard_normal((8, 4))
 
@@ -803,11 +907,15 @@ def test_shares_on_a_rank_with_no_rows_are_positive_zeros():
         step = StepFactor(8)
         for column in dense_columns(layout, comm, dense[:, :3]):
             append(step, column)
+        assert step._pending is not None
         return step.shares(vector(layout, comm, dense[:, 3]))
 
     shares = on_team([0, 3, 5], body)
-    assert [len(s) for s in shares] == [3, 3, 3]
-    assert shares[0] == [0.0] * 3 and not np.signbit(shares[0]).any()
+    # 3 products per kind, r's rows 0..3, Y's row 3
+    assert [len(s) for s in shares] == [3 + 3 + 4 + 3] * 3
+    assert shares[0][:6].tolist() == [0.0] * 6
+    assert not np.signbit(shares[0][:6]).any()
+    assert np.signbit(shares[0][6:]).all() and not shares[0][6:].any()
 
 
 @pytest.mark.parametrize("counts", [[3, 4, 2], [0, 1, 5, 1, 2]])
@@ -846,12 +954,13 @@ def test_append_pivots_at_a_ranks_ends_and_past_its_rows(counts):
 
 
 def test_step_factor_collectives_on_spanning_pivots():
-    # team [1, 2, 6], p = 9: an append pays 1 reduction, none once F has
-    # a reflector per row, also after a compaction, on top of the one
-    # that sums its shares (Y^T r, then r's head rows once F is full,
-    # as long on every rank); ``factor``, whatever columns it takes from
-    # F and the filter drops, and ``compact``, keeping F, rebuilding it
-    # or emptying it, pay nothing
+    # team [1, 2, 6], p = 9: an append that builds its reflector locally
+    # pays nothing on top of the one reduction that sums its shares with
+    # r . r (as long on every rank), one that declines pays 1, and none
+    # pays once F has a reflector per row, also after a compaction;
+    # ``factor``, whatever columns it takes from F and the filter drops,
+    # and ``compact``, keeping F, rebuilding it or emptying it with no
+    # reflector pending, pay nothing
     rng = np.random.default_rng(37)
     p = 9
     residuals = rng.standard_normal((p, p + 4))
@@ -869,11 +978,11 @@ def test_step_factor_collectives_on_spanning_pivots():
 
         def counted_append(r):
             widths.append(step.reflectors)
-            shares = step.shares(r)
-            cost, summed = spent(lambda: comm.allreduce_sum_array(shares))
-            made.append(("shares", cost, len(shares)))
+            pending, shares = step._pending is not None, step.shares(r)
+            cost, summed = spent(lambda: dots([(r, r)], shares))
+            made.append(("shares", cost, len(shares), pending))
             cost, newest = spent(lambda: step.append(r, summed))
-            made.append(("append", cost))
+            made.append(("append", cost, step._pending is not None))
             return newest
 
         for k, r in enumerate(rs[:p + 2]):
@@ -893,7 +1002,8 @@ def test_step_factor_collectives_on_spanning_pivots():
         newest = counted_append(rs[p + 2])
         made.append(("factor", spent(lambda: step.factor(
             [renamed[1, 5], (newest, 0)], 1e-9))[0]))
-        # 9 reflectors for 2 live pairs: F is rebuilt from them
+        # 9 reflectors for 2 live pairs, none pending: F is rebuilt
+        assert step._pending is None
         cost, renamed = spent(lambda: step.compact(
             [renamed[1, 5], renamed[8, 11]]))
         made.append(("compact", cost))
@@ -910,17 +1020,21 @@ def test_step_factor_collectives_on_spanning_pivots():
     none = {"allreduce": 0, "broadcast": 0, "allgather": 0}
     for made, widths in on_team([1, 2, 6], body):
         assert widths == list(range(p + 1)) + [p, p, 2, 0]
-        costs = iter(widths)
-        for name, cost, *length in made:
+        costs, declined = iter(widths), 0
+        for name, cost, *rest in made:
             if name == "shares":
-                width = next(costs)
+                width, (length, pending) = next(costs), rest
                 assert cost == dict(none, allreduce=1)
-                assert length == [2 * width if width == p else width]
+                assert length == width + width * pending \
+                    + min(width + 1, p) + width * (width < p)
             elif name == "append":
-                assert cost == dict(none, allreduce=int(width < p)), \
-                    (width, cost)
+                grows = width < p and not rest[0]
+                assert cost == dict(none, allreduce=int(grows)), (width, cost)
+                declined += grows
             else:
                 assert cost == none, (name, cost)
+        # only r_3 = r_1 cancels below the gate
+        assert declined == 1
         assert [name for name, *_ in made].count("compact") == 3
 
 
